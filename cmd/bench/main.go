@@ -185,9 +185,10 @@ func main() {
 	}
 
 	// Kernel-level micro-benchmarks: the event queue alone (ladder
-	// push/pop churn across every time regime), and the doorbell path
-	// (queue hand-off park/dispatch round trip), the two mechanisms the
-	// figure workloads spend most of their host CPU in.
+	// push/pop churn across every time regime), the doorbell path
+	// (queue hand-off, one park per item), and the two costs a park can
+	// have under baton passing: none (the parking process's own wake-up
+	// is next) or one goroutine switch (another process's is).
 	micro := []struct {
 		name string
 		run  func(b *testing.B)
@@ -195,6 +196,8 @@ func main() {
 		{"EventQueueChurn", benchEventQueueChurn},
 		{"QueueDoorbell", benchQueueDoorbell},
 		{"SerializerUse", benchSerializerUse},
+		{"ParkSelf", benchParkSelf},
+		{"ParkHandoff", benchParkHandoff},
 	}
 	for _, bm := range micro {
 		fmt.Fprintf(os.Stderr, "bench: %s...\n", bm.name)
@@ -373,9 +376,9 @@ func benchEventQueueChurn(b *testing.B) {
 }
 
 // benchQueueDoorbell measures the doorbell path: a producer posting
-// into a queue with a parked consumer, one park/dispatch round trip
-// per item — the shape of every CQ post, NIC work queue ring and
-// softnet hand-off in the stacks.
+// into a queue with a parked consumer, one park of each per item —
+// the shape of every CQ post, NIC work queue ring and softnet
+// hand-off in the stacks.
 func benchQueueDoorbell(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -418,6 +421,49 @@ func benchSerializerUse(b *testing.B) {
 		}
 		k.RunAll()
 	}
+}
+
+// benchParkSelf measures the zero-switch park, mirroring
+// internal/sim's BenchmarkParkSelf: one process sleeping in a loop, so
+// every park finds its own wake-up next. One op is one park.
+func benchParkSelf(b *testing.B) {
+	k := sim.NewKernel()
+	k.Go("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
+}
+
+// benchParkHandoff measures the one-switch park, mirroring
+// internal/sim's BenchmarkParkHandoff: two processes bouncing a token
+// through a pair of queues, so every park ends by waking the other
+// process. One op is one round trip, two parks.
+func benchParkHandoff(b *testing.B) {
+	k := sim.NewKernel()
+	ping, pong := sim.NewQueue[int](k, 0), sim.NewQueue[int](k, 0)
+	k.Go("echo", func(p *sim.Proc) {
+		for {
+			v, ok := ping.Get(p)
+			if !ok {
+				return
+			}
+			pong.Put(p, v)
+		}
+	})
+	k.Go("caller", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(p, i)
+			pong.Get(p)
+		}
+		ping.Close()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
 }
 
 // runProfileWorkloads runs one small fixed pipeline per transport

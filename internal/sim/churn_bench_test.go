@@ -57,3 +57,45 @@ func benchChurn(b *testing.B, n int) {
 		churn(n)
 	}
 }
+
+// BenchmarkParkSelf is the zero-switch park: one process sleeping in
+// a loop, so every park finds its own wake-up next and returns on the
+// goroutine it parked on. One op is one park.
+func BenchmarkParkSelf(b *testing.B) {
+	k := NewKernel()
+	k.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
+}
+
+// BenchmarkParkHandoff is the one-switch park: two processes bouncing
+// a token through a pair of queues, so every park ends by waking the
+// other process. One op is one round trip, two parks.
+func BenchmarkParkHandoff(b *testing.B) {
+	k := NewKernel()
+	ping, pong := NewQueue[int](k, 0), NewQueue[int](k, 0)
+	k.Go("echo", func(p *Proc) {
+		for {
+			v, ok := ping.Get(p)
+			if !ok {
+				return
+			}
+			pong.Put(p, v)
+		}
+	})
+	k.Go("caller", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(p, i)
+			pong.Get(p)
+		}
+		ping.Close()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunAll()
+}

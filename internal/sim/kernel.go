@@ -99,9 +99,15 @@ type Kernel struct {
 	// unboundedly.
 	ncanceled int
 
-	// process handoff
-	yield chan struct{} // procs signal the kernel here when they park
-	procs int           // live (started, not terminated) processes
+	// The baton: whichever goroutine holds it runs the event loop (see
+	// drive). home is where it comes back to Run; one slot, so the
+	// holder never waits for Run to get there. panicked carries home
+	// the value of a panic raised while a proc's goroutine held it.
+	home     chan struct{}
+	panicked any
+	running  bool // inside Run
+	horizon  Time // of the current Run, 0 for none
+	procs    int  // live (started, not terminated) processes
 
 	// stats
 	fired   uint64
@@ -117,7 +123,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{home: make(chan struct{}, 1)}
 }
 
 // Now reports the current virtual time.
@@ -164,7 +170,10 @@ func (k *Kernel) releaseEvent(e *event) {
 	k.pool = append(k.pool, e)
 }
 
-// At schedules fn to run at absolute time t.
+// At schedules fn to run at absolute time t. fn runs in event context
+// on whichever goroutine holds the baton then (see drive), often a
+// parked process's rather than Run's caller's, so it must not rely on
+// goroutine identity (runtime.Goexit, and with it t.FailNow, included).
 func (k *Kernel) At(t Time, fn func()) Timer {
 	e := k.newEvent(t)
 	e.kind = evFunc
@@ -203,20 +212,64 @@ func (k *Kernel) atWake(t Time, p *Proc, wgen uint64, v any) Timer {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events until the queue is empty, Stop is called, or
-// until (when horizon > 0) the clock would pass the horizon. It
-// reports the time at which it stopped. Processes still blocked when
-// Run returns are simply never resumed; their goroutines are parked
-// forever, which Go collects at process exit.
+// until (when horizon > 0) the clock would pass the horizon; the clock
+// then advances to the horizon, never back. It reports the time at
+// which it stopped. Processes still blocked when Run returns stay
+// parked, and a later Run resumes them when their wake-up fires; those
+// never woken are never freed either: their goroutines, and all they
+// reach, live until the Go process exits.
+//
+// Run starts the event loop on the caller's goroutine and then waits
+// for the baton to come home (see drive). It must not be called from
+// a process or an event handler.
 func (k *Kernel) Run(horizon Time) Time {
+	if k.running {
+		panic("sim: Run called re-entrantly")
+	}
+	k.running = true
+	defer func() { k.running = false }()
 	k.stopped = false
+	k.horizon = horizon
+	k.drive(nil)
+	<-k.home
+	if r := k.panicked; r != nil {
+		k.panicked = nil
+		panic(r)
+	}
+	return k.now
+}
+
+// drive runs the event loop on the calling goroutine, which holds the
+// baton: self is the process parking or exiting on it, nil on Run's
+// own goroutine. Handlers run inline. A wake-up for self ends the loop
+// with no goroutine switch at all: drive returns its value and the
+// process carries on. A wake-up for another process costs one switch:
+// drive sends it the baton on its resume channel and returns, and the
+// caller blocks on its own. When the queue is empty, Stop was called
+// or the horizon is reached, the baton goes home to Run.
+//
+// A panic raised by a handler or a dispatch check while a process's
+// goroutine holds the baton goes home as well, and Run re-raises it on
+// its caller's goroutine, where runner.Map or a test can recover it.
+func (k *Kernel) drive(self *Proc) (v any, woke bool) {
+	if self != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				k.panicked = r
+				k.home <- struct{}{}
+			}
+		}()
+	}
 	for !k.stopped {
 		e := k.peekNext()
 		if e == nil {
 			break
 		}
-		if horizon > 0 && e.at > horizon {
-			k.now = horizon
-			return k.now
+		if k.horizon > 0 && e.at > k.horizon {
+			if k.horizon > k.now {
+				k.now = k.horizon
+			}
+			break
 		}
 		fromRing := k.popNext(e)
 		if e.canceled {
@@ -240,16 +293,27 @@ func (k *Kernel) Run(horizon Time) Time {
 		switch kind {
 		case evFunc:
 			fn()
-		case evDispatch:
-			k.dispatch(proc, val)
+			continue
 		case evWake:
-			if proc.wgen == wgen && !proc.wcanceled {
-				proc.wcanceled = true
-				k.dispatch(proc, val)
+			if proc.wgen != wgen || proc.wcanceled {
+				continue
 			}
+			proc.wcanceled = true
 		}
+		if proc.done {
+			panic(fmt.Sprintf("sim: dispatch to terminated proc %q", proc.name))
+		}
+		if !proc.parked {
+			panic(fmt.Sprintf("sim: dispatch to running proc %q", proc.name))
+		}
+		if proc == self {
+			return val, true
+		}
+		proc.resume <- val
+		return nil, false
 	}
-	return k.now
+	k.home <- struct{}{}
+	return nil, false
 }
 
 // RunAll runs with no horizon.

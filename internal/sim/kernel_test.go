@@ -68,6 +68,36 @@ func TestKernelHorizonStopsClock(t *testing.T) {
 	}
 }
 
+func TestKernelHorizonNeverRewindsClock(t *testing.T) {
+	k := NewKernel()
+	k.At(1000, func() {})
+	k.Run(150)
+	if end := k.Run(50); end != 150 || k.Now() != 150 {
+		t.Fatalf("Run(50) after Run(150): end %v, Now %v; want 150ns", end, k.Now())
+	}
+	// Scheduling relative to the clock still works after the short run.
+	fired := Time(-1)
+	k.After(10, func() { fired = k.Now() })
+	k.Run(200)
+	if fired != 160 {
+		t.Fatalf("After(10) fired at %v, want 160ns", fired)
+	}
+}
+
+func TestKernelRunReentrantPanics(t *testing.T) {
+	k := NewKernel()
+	k.At(1, func() { k.RunAll() })
+	k.At(2, func() {})
+	r := recovered(func() { k.RunAll() })
+	if r != "sim: Run called re-entrantly" {
+		t.Fatalf("nested Run panicked with %v", r)
+	}
+	// The flag is cleared on the way out, so the kernel is still usable.
+	if end := k.RunAll(); end != 2 {
+		t.Fatalf("Run after the panic ended at %v, want 2ns", end)
+	}
+}
+
 func TestKernelStopHaltsRun(t *testing.T) {
 	k := NewKernel()
 	count := 0

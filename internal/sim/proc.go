@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Proc is a simulation process: a goroutine that cooperates with the
-// kernel so that exactly one process (or the kernel loop) runs at a
+// kernel so that exactly one goroutine, the baton holder, runs at a
 // time. Procs are created with Kernel.Go and must only call their
 // blocking methods (Sleep, Wait, ...) from their own goroutine.
 type Proc struct {
@@ -62,32 +62,22 @@ func (k *Kernel) GoAfter(d Time, name string, fn func(p *Proc)) *Proc {
 		p.done = true
 		k.procs--
 		p.term.Fire(nil)
-		k.yield <- struct{}{}
+		k.drive(p) // an exiting process still holds the baton
 	}()
 	k.atDispatch(k.now+d, p, nil)
 	return p
 }
 
-// dispatch hands control to a parked process and waits for it to park
-// again or terminate. It must only be called from kernel (event)
-// context.
-func (k *Kernel) dispatch(p *Proc, v any) {
-	if p.done {
-		panic(fmt.Sprintf("sim: dispatch to terminated proc %q", p.name))
-	}
-	if !p.parked {
-		panic(fmt.Sprintf("sim: dispatch to running proc %q", p.name))
-	}
-	p.resume <- v
-	<-k.yield
-}
-
-// park gives control back to the kernel and blocks until the next
-// dispatch, returning the value it carries.
+// park blocks the process until its next wake-up and returns the
+// value that carries. The process keeps the baton and runs the event
+// loop itself; it blocks on resume only once the baton has gone to
+// another process or home.
 func (p *Proc) park() any {
 	p.parked = true
-	p.k.yield <- struct{}{}
-	v := <-p.resume
+	v, woke := p.k.drive(p)
+	if !woke {
+		v = <-p.resume
+	}
 	p.parked = false
 	return v
 }
@@ -109,13 +99,13 @@ func (p *Proc) Done() bool { return p.done }
 func (p *Proc) Term() *Signal { return p.term }
 
 // Sleep blocks the process for d of virtual time. Zero-length sleeps
-// still round-trip through the scheduler so that they act as a yield
+// still go through the event queue so that they act as a yield
 // point with deterministic ordering.
 func (p *Proc) Sleep(d Time) { p.sleepOn(d, edgeSleep) }
 
 // sleepOn is Sleep with the park attributed to a specific profiler
 // edge; labeled resources route their hold-sleeps through it so the
-// ledger charges the round trip to the resource, not to "sim/sleep".
+// ledger charges the park to the resource, not to "sim/sleep".
 func (p *Proc) sleepOn(d Time, edge string) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))

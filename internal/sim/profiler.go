@@ -35,8 +35,9 @@ type Profiler interface {
 	Park(at Time, p *Proc, edge string)
 	// Wake records that p, previously parked on the labeled edge,
 	// resumed at the given virtual time. A wake at the same instant as
-	// its park is a zero-delay rendezvous — a full goroutine
-	// park/dispatch round trip that advanced the clock by nothing.
+	// its park is a zero-delay rendezvous — a trip through the event
+	// loop, and a goroutine switch unless the process's own wake-up
+	// was next, that advanced the clock by nothing.
 	Wake(at Time, p *Proc, edge string)
 	// Handoff records a queue Put that bypassed buffering and handed
 	// its item directly to a parked getter.
@@ -56,7 +57,7 @@ func (k *Kernel) Profiler() Profiler { return k.prof }
 // parkOn is park with profiler attribution: the edge label names the
 // queue, signal, condition or resource the process is blocking on.
 // All blocking primitives park through here so the profiler sees
-// every scheduler round trip exactly once.
+// every park exactly once.
 func (p *Proc) parkOn(edge string) any {
 	if pr := p.k.prof; pr != nil {
 		pr.Park(p.k.now, p, edge)

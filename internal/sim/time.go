@@ -1,11 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel
 // with lightweight cooperative processes, in the style of SimPy.
 //
-// The kernel owns a virtual clock and an event heap. Processes are Go
-// goroutines that hand control back and forth with the kernel over
-// channels so that exactly one of them runs at any instant; together
-// with a sequence-number tie-break in the event heap this makes every
-// simulation fully deterministic.
+// The kernel owns a virtual clock and an event queue. Processes are Go
+// goroutines that pass one baton among themselves: the holder runs
+// process code or, once it parks, the event loop, and hands the baton
+// over a channel to the next process the loop wakes, so exactly one
+// goroutine runs at any instant. Together with a sequence-number
+// tie-break in the event queue this makes every simulation fully
+// deterministic.
 //
 // All higher layers of this repository (the physical network, the VIA
 // emulation, the kernel TCP path, the SocketVIA sockets layer and the
