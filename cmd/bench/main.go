@@ -194,7 +194,8 @@ func main() {
 		run  func(b *testing.B)
 	}{
 		{"EventQueueChurn", benchEventQueueChurn},
-		{"QueueDoorbell", benchQueueDoorbell},
+		{"QueueDoorbell", benchQueueDoorbell(procConsumer)},
+		{"QueueDoorbellFunc", benchQueueDoorbell(funcConsumer)},
 		{"SerializerUse", benchSerializerUse},
 		{"ParkSelf", benchParkSelf},
 		{"ParkHandoff", benchParkHandoff},
@@ -378,29 +379,47 @@ func benchEventQueueChurn(b *testing.B) {
 // benchQueueDoorbell measures the doorbell path: a producer posting
 // into a queue with a parked consumer, one park of each per item —
 // the shape of every CQ post, NIC work queue ring and softnet
-// hand-off in the stacks.
-func benchQueueDoorbell(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := sim.NewKernel()
-		q := sim.NewQueue[int](k, 0)
-		const items = 10_000
-		k.Go("consumer", func(p *sim.Proc) {
-			for {
-				if _, ok := q.Get(p); !ok {
-					return
+// hand-off in the stacks. With funcConsumer the consumer is a GetFunc
+// continuation, the shape of the adapters' egress stages: the same
+// events, and only the producer parks.
+func benchQueueDoorbell(consume func(*sim.Kernel, *sim.Queue[int])) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := sim.NewKernel()
+			q := sim.NewQueue[int](k, 0)
+			const items = 10_000
+			consume(k, q)
+			k.Go("producer", func(p *sim.Proc) {
+				for j := 0; j < items; j++ {
+					q.Put(p, j)
+					p.Sleep(1) // re-park the consumer so every put rings the doorbell
 				}
-			}
-		})
-		k.Go("producer", func(p *sim.Proc) {
-			for j := 0; j < items; j++ {
-				q.Put(p, j)
-				p.Sleep(1) // re-park the consumer so every put rings the doorbell
-			}
-			q.Close()
-		})
-		k.RunAll()
+				q.Close()
+			})
+			k.RunAll()
+		}
 	}
+}
+
+func procConsumer(k *sim.Kernel, q *sim.Queue[int]) {
+	k.Go("consumer", func(p *sim.Proc) {
+		for {
+			if _, ok := q.Get(p); !ok {
+				return
+			}
+		}
+	})
+}
+
+func funcConsumer(k *sim.Kernel, q *sim.Queue[int]) {
+	var got func(int, bool)
+	got = func(_ int, ok bool) {
+		if ok {
+			q.GetFunc(got)
+		}
+	}
+	k.After(0, func() { q.GetFunc(got) })
 }
 
 // benchSerializerUse measures the collapsed FIFO-resource protocol

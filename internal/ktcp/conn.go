@@ -47,6 +47,7 @@ type Conn struct {
 	rcvCond      *sim.Cond
 	ackPending   int
 	ackTimer     sim.Timer
+	onAckTimer   func() // queues an ack flush; bound once, armed per delayed ack
 	lastAdvLimit int64
 
 	// Retransmission state, active only when cfg.RTO > 0. retransQ

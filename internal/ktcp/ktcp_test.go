@@ -473,3 +473,62 @@ func TestDelayedAckTimerFlushes(t *testing.T) {
 		t.Fatal("lone segment never acknowledged")
 	}
 }
+
+// The adapter's egress stages (ack queue, DMA, wire) are event-context
+// continuations, so a stack with no connections is one process.
+func TestStackSpawnsOnlySoftnet(t *testing.T) {
+	k := sim.NewKernel()
+	net := netsim.New(k, netsim.CLANConfig())
+	node := cluster.New(k, net).AddNode("a", cluster.DefaultConfig())
+	before := k.ProcsSpawned()
+	NewStack(node, net, LinuxCLANConfig())
+	if got := k.ProcsSpawned() - before; got != 1 {
+		t.Fatalf("NewStack spawned %d processes, want 1 (softnet)", got)
+	}
+}
+
+// A one-way stream recycles its segments: data segments go back to the
+// sender that took them and acks to the receiver, so neither pool
+// grows with the length of the stream, only with what a window holds.
+func TestSegmentPoolsBoundedByWindow(t *testing.T) {
+	cfg := LinuxCLANConfig()
+	r := newRig(2, cfg)
+	const total = 8 << 20
+	r.pair(t,
+		func(p *sim.Proc, c *Conn) {
+			if err := c.SendSize(p, total); err != nil {
+				t.Errorf("send: %v", err)
+			}
+			c.Close(p)
+		},
+		func(p *sim.Proc, c *Conn) {
+			buf := make([]byte, 64<<10)
+			got := 0
+			for {
+				n, err := c.Recv(p, buf)
+				got += n
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Errorf("recv: %v", err)
+					return
+				}
+			}
+			if got != total {
+				t.Errorf("received %d bytes, want %d", got, total)
+			}
+		},
+	)
+	segments := int(r.stacks[0].SegmentsOut())
+	window := (cfg.SndBuf + cfg.RcvBuf) / cfg.MSS
+	for i, st := range r.stacks {
+		if n := len(st.segPool); n == 0 || n > window {
+			t.Errorf("stack %d pools %d segments after a %d-segment stream, want 1..%d (one window)",
+				i, n, segments, window)
+		}
+	}
+	if segments < 10*window {
+		t.Fatalf("stream of %d segments is too short to tell a window (%d) from its length", segments, window)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hpsockets/internal/hpsmon"
-	"hpsockets/internal/netsim"
 	"hpsockets/internal/sim"
 )
 
@@ -32,7 +31,7 @@ func (st *Stack) softnetLoop(p *sim.Proc) {
 		// Every path through handleSeg has fully consumed the segment
 		// except a SYN parked in a listener queue — and SYNs are never
 		// pooled, so the free below is a no-op for them.
-		st.freeSeg(seg)
+		freeSeg(seg)
 	}
 }
 
@@ -135,10 +134,6 @@ func (st *Stack) armAckTimer(c *Conn) {
 	c.ackTimer = st.node.Kernel().After(st.cfg.AckTimeout, c.onAckTimer)
 }
 
-func (c *Conn) onAckTimer() {
-	_ = c.st.softQ.TryPut(softItem{flushConn: c})
-}
-
 // emitAck generates a cumulative ack for the connection and queues it
 // for transmission.
 func (st *Stack) emitAck(p *sim.Proc, c *Conn) {
@@ -153,23 +148,4 @@ func (st *Stack) emitAck(p *sim.Proc, c *Conn) {
 	ack.cumAck, ack.rwnd = c.rcvd, rwnd
 	_ = st.ackQ.TryPut(ack)
 	st.acksOut++
-}
-
-// ackTxLoop drains generated acks onto the wire so softnet itself
-// never blocks on the uplink.
-func (st *Stack) ackTxLoop(p *sim.Proc) {
-	for {
-		seg, ok := st.ackQ.Get(p)
-		if !ok {
-			return
-		}
-		c := st.conns[seg.srcConn]
-		if c == nil || c.peerConn == 0 {
-			st.freeSeg(seg)
-			continue
-		}
-		seg.dstConn = c.peerConn
-		st.nicQ.Put(p, st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
-			st.cfg.AckSize, seg))
-	}
 }

@@ -39,12 +39,13 @@ type segment struct {
 	cumAck int64
 	rwnd   int
 
-	// pooled marks a segment owned by a stack free list; it is set
-	// only for segments the receive path fully consumes (acks,
-	// SYNACKs, and — when retransmission is off — data and FIN).
-	// Segments the sender must retain for go-back-N, and SYNs parked
-	// in a listener queue, are never pooled.
-	pooled bool
+	// home is the stack whose free list owns the segment, nil for a
+	// segment that is never pooled. Only segments the receive path
+	// fully consumes are pooled (acks, SYNACKs, and — when
+	// retransmission is off — data and FIN); segments the sender must
+	// retain for go-back-N, and SYNs parked in a listener queue, never
+	// are.
+	home *Stack
 }
 
 // softItem is one unit of softnet work: an inbound segment, or (with
@@ -102,10 +103,12 @@ type Stack struct {
 	segsOut uint64
 	acksOut uint64
 
-	// segPool recycles consumed segments. Segments may be freed into
-	// a different stack's pool than they were taken from (the
-	// receiver frees what the sender allocated); both stacks live on
-	// one kernel, so this is race-free and merely migrates capacity.
+	// segPool recycles consumed segments. The receiving stack frees
+	// what the sender allocated, and freeSeg files a segment back in
+	// the pool it was taken from — a pool that kept what its stack
+	// consumed would sit empty at the sending end of a one-way stream
+	// and grow without bound at the other. Both stacks live on one
+	// kernel, so reaching into the peer's pool is race-free.
 	segPool []*segment
 }
 
@@ -122,26 +125,24 @@ func (st *Stack) allocSeg(poolable bool) *segment {
 		st.segPool = st.segPool[:n-1]
 		return s
 	}
-	return &segment{pooled: true}
+	return &segment{home: st}
 }
 
-// freeSeg recycles a consumed pooled segment (no-op otherwise). The
-// chunk slice keeps its capacity for the next TakeInto, but every
-// element is cleared so no payload reference outlives the segment.
-func (st *Stack) freeSeg(s *segment) {
-	if s == nil || !s.pooled {
+// freeSeg recycles a consumed pooled segment (no-op otherwise) into
+// its home stack's pool. The chunk slice keeps its capacity for the
+// next TakeInto, but every element is cleared so no payload reference
+// outlives the segment.
+func freeSeg(s *segment) {
+	if s == nil || s.home == nil {
 		return
 	}
-	for i := range s.data {
-		s.data[i] = bytebuf.Chunk{}
-	}
-	data := s.data[:0]
-	*s = segment{pooled: true, data: data}
-	st.segPool = append(st.segPool, s)
+	clear(s.data)
+	*s = segment{home: s.home, data: s.data[:0]}
+	s.home.segPool = append(s.home.segPool, s)
 }
 
 // NewStack attaches a kernel TCP stack to the node and starts its
-// softnet and ack-transmit processes.
+// softnet process and its adapter's egress stages.
 func NewStack(node *cluster.Node, net *netsim.Network, cfg Config) *Stack {
 	if cfg.MSS <= 0 || cfg.SndBuf < cfg.MSS || cfg.RcvBuf < cfg.MSS {
 		panic("ktcp: invalid config")
@@ -175,15 +176,13 @@ func NewStack(node *cluster.Node, net *netsim.Network, cfg Config) *Stack {
 			// retransmission (when enabled) recovers it.
 			k.Trace("ktcp", "checksum-drop", int64(f.Size), f.Src)
 			hpsmon.Count(k, "ktcp", "checksum.drops", 1)
-			st.freeSeg(f.Payload.(*segment))
+			freeSeg(f.Payload.(*segment))
 			return
 		}
 		_ = st.softQ.TryPut(softItem{seg: f.Payload.(*segment)})
 	})
 	k.Go("ktcp-softnet/"+node.Name(), st.softnetLoop)
-	k.Go("ktcp-acktx/"+node.Name(), st.ackTxLoop)
-	k.Go("ktcp-nicdma/"+node.Name(), st.nicDMALoop)
-	k.Go("ktcp-wiretx/"+node.Name(), st.wireTxLoop)
+	st.startEgress(k)
 	return st
 }
 
@@ -285,6 +284,7 @@ func (st *Stack) newConn() *Conn {
 		sndCond:   sim.NewCond(k),
 		rcvCond:   sim.NewCond(k),
 	}
+	c.onAckTimer = func() { _ = st.softQ.TryPut(softItem{flushConn: c}) }
 	c.connSig.SetLabel("ktcp/handshake")
 	c.closeDone.SetLabel("ktcp/close")
 	c.sndCond.SetLabel("ktcp/snd-buf")
@@ -300,28 +300,54 @@ func (st *Stack) transmitControl(p *sim.Proc, dst string, seg *segment) {
 	st.nicQ.Put(p, st.net.NewFrame(st.node.Name(), dst, netsim.ProtoIP, st.cfg.HeaderSize, seg))
 }
 
-// nicDMALoop is the adapter's host-memory DMA stage: it fetches each
-// queued frame's payload across the PCI bus and hands it to the wire
-// stage; the bounded wireFIFO pipelines the two.
-func (st *Stack) nicDMALoop(p *sim.Proc) {
-	for {
-		f, ok := st.nicQ.Get(p)
+// startEgress starts the three stages between softnet or a
+// connection's transmit engine and the wire. They are hardware and
+// bookkeeping — no host CPU charged, no span, no decision on wake
+// (DESIGN.md §14) — so each is a chain of event-context continuations
+// rather than a process: every step books what the blocking call
+// would and runs where that call's wake-up would have fired. The
+// closures are built once here; a frame's passage allocates nothing.
+func (st *Stack) startEgress(k *sim.Kernel) {
+	// The ack stage drains generated acks into the NIC queue so
+	// softnet itself never blocks on a full one.
+	var ackNext func(bool)
+	ackGot := func(seg *segment, ok bool) {
 		if !ok {
 			return
 		}
-		seg := f.Payload.(*segment)
-		st.dma.Use(p, st.cfg.DMAPerOp+sim.Time(float64(seg.length)*st.cfg.DMAPerByte+0.5), 0)
-		st.wireFIFO.Put(p, f)
+		c := st.conns[seg.srcConn]
+		if c == nil || c.peerConn == 0 {
+			freeSeg(seg)
+			ackNext(true)
+			return
+		}
+		seg.dstConn = c.peerConn
+		st.nicQ.PutFunc(st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
+			st.cfg.AckSize, seg), ackNext)
 	}
-}
+	ackNext = func(bool) { st.ackQ.GetFunc(ackGot) }
 
-// wireTxLoop drains DMA-complete frames onto the wire.
-func (st *Stack) wireTxLoop(p *sim.Proc) {
-	for {
-		f, ok := st.wireFIFO.Get(p)
+	// The DMA stage fetches each queued frame's payload across the PCI
+	// bus and hands it to the wire stage; the bounded wireFIFO
+	// pipelines the two. inDMA is the frame the engine is busy with.
+	var inDMA *netsim.Frame
+	var dmaNext func(bool)
+	dmaDone := func() {
+		f := inDMA
+		inDMA = nil
+		st.wireFIFO.PutFunc(f, dmaNext)
+	}
+	dmaGot := func(f *netsim.Frame, ok bool) {
 		if !ok {
 			return
 		}
-		st.net.Transmit(p, f)
+		inDMA = f
+		seg := f.Payload.(*segment)
+		st.dma.UseFunc(st.cfg.DMAPerOp+sim.Time(float64(seg.length)*st.cfg.DMAPerByte+0.5), 0, dmaDone)
 	}
+	dmaNext = func(bool) { st.nicQ.GetFunc(dmaGot) }
+
+	k.After(0, func() { ackNext(true) })
+	k.After(0, func() { dmaNext(true) })
+	st.net.TransmitFrom(st.wireFIFO)
 }

@@ -8,7 +8,7 @@
 // adapter.
 //
 // Model: a frame sent from A to B first serializes onto A's uplink
-// (a sim.Resource, so concurrent senders on one host queue FIFO), then
+// (a sim.Serializer, so concurrent senders on one host queue FIFO), then
 // crosses the switch after a fixed cut-through latency, then
 // serializes on B's downlink. Downlink serialization is computed with
 // event arithmetic (a per-port horizon) rather than a process: it is
@@ -51,14 +51,34 @@ type Frame struct {
 	// receiving stack decides what a failed checksum means for it.
 	Corrupt bool
 
-	pooled  bool
-	dstPort *Port  // delivery target of the in-flight transmission
-	deliver func() // reusable delivery thunk, created once per Frame
+	pooled bool
+	// State of the in-flight transmission: the ports at either end,
+	// the uplink serialization time, and for TransmitFunc what runs
+	// once the frame is on the wire.
+	srcPort, dstPort *Port
+	ser              sim.Time
+	sent             func()
+	// Reusable thunks, created once per Frame object rather than per
+	// transmission, so a pooled frame crosses the fabric without
+	// allocating: uplinkEnd ends a TransmitFunc uplink hold, deliver
+	// fires at the destination.
+	uplinkEnd func()
+	deliver   func()
 }
 
 // fire delivers the frame at its destination port. It runs in event
 // context at the computed arrival time.
 func (f *Frame) fire() { f.dstPort.deliverFrame(f) }
+
+// endUplink runs in event context when the uplink hold TransmitFunc
+// booked ends. The continuation is read first: launching may recycle
+// the frame.
+func (f *Frame) endUplink() {
+	sent := f.sent
+	f.sent = nil
+	f.srcPort.net.launch(f)
+	sent()
+}
 
 // Disposition is a FaultModel's verdict on one frame.
 type Disposition int
@@ -234,7 +254,7 @@ func (n *Network) FreeFrame(f *Frame) {
 		return
 	}
 	f.Payload = nil
-	f.dstPort = nil
+	f.srcPort, f.dstPort = nil, nil
 	n.framePool = append(n.framePool, f)
 }
 
@@ -276,24 +296,65 @@ func (n *Network) serialization(size int) sim.Time {
 	return sim.TransferTime(size, n.cfg.LinkMbps)
 }
 
-// Transmit sends a frame, blocking p for the egress serialization of
-// the frame on the source uplink (and behind any queued frames).
-// Delivery at the destination happens asynchronously after the wire
-// latency and downlink serialization.
-func (n *Network) Transmit(p *sim.Proc, f *Frame) {
-	src, ok := n.port[f.Src]
-	if !ok {
+// admit validates a frame for transmission and records its ports and
+// uplink serialization time on it.
+func (n *Network) admit(f *Frame) {
+	var ok bool
+	if f.srcPort, ok = n.port[f.Src]; !ok {
 		panic(fmt.Sprintf("netsim: transmit from unknown port %q", f.Src))
 	}
-	dst, ok := n.port[f.Dst]
-	if !ok {
+	if f.dstPort, ok = n.port[f.Dst]; !ok {
 		panic(fmt.Sprintf("netsim: transmit to unknown port %q", f.Dst))
 	}
 	if f.Size <= 0 {
 		panic("netsim: frame with non-positive size")
 	}
-	ser := n.serialization(f.Size)
-	src.uplink.Use(p, ser, 0)
+	f.ser = n.serialization(f.Size)
+}
+
+// Transmit sends a frame, blocking p for the egress serialization of
+// the frame on the source uplink (and behind any queued frames).
+// Delivery at the destination happens asynchronously after the wire
+// latency and downlink serialization.
+func (n *Network) Transmit(p *sim.Proc, f *Frame) {
+	n.admit(f)
+	f.srcPort.uplink.Use(p, f.ser, 0)
+	n.launch(f)
+}
+
+// TransmitFunc is Transmit for event context — an adapter's wire
+// stage is hardware, not a thread: it books the same uplink hold and
+// runs sent, after the frame's launch, as the event that would have
+// woken Transmit's process.
+func (n *Network) TransmitFunc(f *Frame, sent func()) {
+	n.admit(f)
+	f.sent = sent
+	if f.uplinkEnd == nil {
+		f.uplinkEnd = f.endUplink
+	}
+	f.srcPort.uplink.UseFunc(f.ser, 0, f.uplinkEnd)
+}
+
+// TransmitFrom starts an adapter's wire stage: from the next event on
+// it transmits every frame put on q, one at a time in FIFO order,
+// until q is closed and drained. The stage is a pair of continuations
+// bound once here, so a frame's passage through it allocates nothing.
+func (n *Network) TransmitFrom(q *sim.Queue[*Frame]) {
+	var next func()
+	got := func(f *Frame, ok bool) {
+		if ok {
+			n.TransmitFunc(f, next)
+		}
+	}
+	next = func() { q.GetFunc(got) }
+	n.k.After(0, next)
+}
+
+// launch puts an admitted frame on the wire once its uplink hold is
+// over: it counts it, lets the fault model judge it and schedules its
+// delivery.
+func (n *Network) launch(f *Frame) {
+	src, dst, ser := f.srcPort, f.dstPort, f.ser
 	src.sent++
 	src.txBytes += int64(f.Size)
 	hpsmon.Count(n.k, "netsim", "frames.out", 1)
@@ -364,11 +425,7 @@ func (n *Network) Transmit(p *sim.Proc, f *Frame) {
 		}
 		dst.downHorizon = arrival
 	}
-	f.dstPort = dst
 	if f.deliver == nil {
-		// One thunk per Frame object, not per transmission: pooled
-		// frames amortize it to nothing, and it reads the destination
-		// from the frame at fire time.
 		f.deliver = f.fire
 	}
 	n.k.At(arrival, f.deliver)

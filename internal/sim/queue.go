@@ -3,38 +3,67 @@ package sim
 // closeSentinel wakes getters parked on a queue that gets closed.
 type closeSentinel struct{}
 
-// queuePutter is a parked producer holding the item it wants to add.
-// Timed putters carry their wait generation and the timer of their
-// expiry so admission can atomically decide between hand-off and
+// queueGetter is a parked consumer: a process blocked in Get, or the
+// continuation a GetFunc left behind.
+type queueGetter[T any] struct {
+	p  *Proc
+	fn func(T, bool)
+}
+
+// queuePutter is a parked producer (a process blocked in Put or
+// PutTimeout, or a PutFunc continuation) holding the item it wants to
+// add. Timed putters carry their wait generation and the timer of
+// their expiry so admission can atomically decide between hand-off and
 // timeout (whichever cancels the other first wins).
 type queuePutter[T any] struct {
 	p     *Proc
+	fn    func(bool)
 	item  T
 	timed bool
 	gen   uint64
 	timer Timer
 }
 
+// queueWake is one scheduled resumption in flight: the item committed
+// to a dispatched getter, or the continuation (get or put) a func
+// event will run with ok.
+type queueWake[T any] struct {
+	item T
+	get  func(T, bool)
+	put  func(bool)
+	ok   bool
+}
+
 // Queue is a FIFO channel between processes. A capacity of 0 means
 // unbounded; otherwise Put blocks while the queue is full. Get blocks
 // while the queue is empty. Closing wakes all blocked parties.
+//
+// Every blocking call has an event-context twin (GetFunc, PutFunc)
+// for stages that model hardware rather than a thread of control: it
+// books exactly what the blocking call books, and where the blocking
+// call would schedule the process's wake-up it schedules the
+// continuation as a plain event in the same (time, seq) position.
+// Procs and continuations share the getter and putter FIFOs, so mixing
+// them on one queue keeps arrival order.
 type Queue[T any] struct {
 	k       *Kernel
 	label   string
 	cap     int
-	items   []T
-	getters []*Proc
-	putters []*queuePutter[T]
+	items   fifo[T]
+	getters fifo[queueGetter[T]]
+	putters fifo[queuePutter[T]]
 	closed  bool
 
-	// handoff holds items already committed to dispatched getters, in
-	// dispatch order from hhead (a head-index ring, reset when it
-	// drains, so steady-state hand-offs reuse one backing array).
-	// Carrying the item here instead of in the wake-up event's value
-	// keeps the hand-off monomorphic: boxing a struct T into the
-	// event's `any` slot would allocate per transfer.
-	handoff []T
-	hhead   int
+	// wakes holds one entry per scheduled hand-off or continuation, in
+	// schedule order, which is also firing order: the events all carry
+	// increasing (time, seq). A woken getter process pops its item
+	// here; fire pops and runs a continuation. Carrying the item here
+	// instead of in the wake-up event's value keeps the hand-off
+	// monomorphic (boxing a struct T into the event's `any` slot would
+	// allocate per transfer), and one thunk bound per queue serves
+	// every continuation, so neither kind of hand-off allocates.
+	wakes fifo[queueWake[T]]
+	fire  func()
 
 	puts uint64
 	gets uint64
@@ -54,7 +83,7 @@ func NewQueue[T any](k *Kernel, capacity int) *Queue[T] {
 func (q *Queue[T]) SetLabel(label string) { q.label = label }
 
 // Len reports the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
@@ -68,34 +97,30 @@ func (q *Queue[T]) Gets() uint64 { return q.gets }
 // Put adds an item, blocking while a bounded queue is full. It reports
 // false if the queue was closed before the item could be accepted.
 func (q *Queue[T]) Put(p *Proc, item T) bool {
+	if q.TryPut(item) {
+		return true
+	}
 	if q.closed {
 		return false
 	}
-	// Direct hand-off to a parked getter preserves FIFO wake order.
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		q.puts++
-		q.gets++
-		q.handoff = append(q.handoff, item)
-		if pr := q.k.prof; pr != nil {
-			pr.Handoff(q.k.now, q.label)
-		}
-		q.k.atDispatch(q.k.now, g, nil)
-		return true
+	q.putters.push(queuePutter[T]{p: p, item: item})
+	_, wasClosed := p.parkOn(q.label).(closeSentinel)
+	return !wasClosed
+}
+
+// PutFunc is Put for event context: fn runs with Put's result, at
+// once when Put would not have blocked, otherwise as an event at the
+// point Put's process would have been woken.
+func (q *Queue[T]) PutFunc(item T, fn func(ok bool)) {
+	if q.TryPut(item) {
+		fn(true)
+		return
 	}
-	if q.cap == 0 || len(q.items) < q.cap {
-		q.items = append(q.items, item)
-		q.puts++
-		return true
+	if q.closed {
+		fn(false)
+		return
 	}
-	w := &queuePutter[T]{p: p, item: item}
-	q.putters = append(q.putters, w)
-	v := p.parkOn(q.label)
-	if _, wasClosed := v.(closeSentinel); wasClosed {
-		return false
-	}
-	return true
+	q.putters.push(queuePutter[T]{fn: fn, item: item})
 }
 
 // PutTimeout adds an item, blocking at most d while a bounded queue is
@@ -109,10 +134,10 @@ func (q *Queue[T]) PutTimeout(p *Proc, item T, d Time) bool {
 	if d <= 0 || q.closed {
 		return false
 	}
-	w := &queuePutter[T]{p: p, item: item, timed: true}
+	w := queuePutter[T]{p: p, item: item, timed: true}
 	w.gen = p.beginWait()
 	w.timer = q.k.atWake(q.k.now+d, p, w.gen, timeoutSentinel{})
-	q.putters = append(q.putters, w)
+	q.putters.push(w)
 	v := p.parkOn(q.label)
 	switch v.(type) {
 	case closeSentinel:
@@ -130,20 +155,15 @@ func (q *Queue[T]) PutTimeout(p *Proc, item T, d Time) bool {
 // parked producer into the freed slot. Load-shedding consumers use it
 // to drop stale work in favour of fresh arrivals.
 func (q *Queue[T]) Evict(match func(T) bool) (item T, ok bool) {
-	for i := range q.items {
-		if !match(q.items[i]) {
+	for i, it := range q.items.live() {
+		if !match(it) {
 			continue
 		}
-		item = q.items[i]
-		copy(q.items[i:], q.items[i+1:])
-		var zero T
-		q.items[len(q.items)-1] = zero
-		q.items = q.items[:len(q.items)-1]
+		q.items.removeAt(i)
 		q.admitPutter()
-		return item, true
+		return it, true
 	}
-	var zero T
-	return zero, false
+	return item, false
 }
 
 // TryPut adds an item without blocking; it reports whether the item
@@ -152,20 +172,25 @@ func (q *Queue[T]) TryPut(item T) bool {
 	if q.closed {
 		return false
 	}
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
+	// Direct hand-off to a parked getter preserves FIFO wake order.
+	if q.getters.len() > 0 {
+		g := q.getters.pop()
 		q.puts++
 		q.gets++
-		q.handoff = append(q.handoff, item)
 		if pr := q.k.prof; pr != nil {
 			pr.Handoff(q.k.now, q.label)
 		}
-		q.k.atDispatch(q.k.now, g, nil)
+		w := queueWake[T]{item: item, get: g.fn, ok: true}
+		if g.p != nil {
+			q.wakes.push(w)
+			q.k.atDispatch(q.k.now, g.p, nil)
+		} else {
+			q.atFire(w)
+		}
 		return true
 	}
-	if q.cap == 0 || len(q.items) < q.cap {
-		q.items = append(q.items, item)
+	if q.cap == 0 || q.items.len() < q.cap {
+		q.items.push(item)
 		q.puts++
 		return true
 	}
@@ -175,86 +200,105 @@ func (q *Queue[T]) TryPut(item T) bool {
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. ok is false when the queue is closed and drained.
 func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
-	if len(q.items) > 0 {
-		item = q.pop()
-		q.admitPutter()
-		return item, true
+	if item, ok = q.TryGet(); ok || q.closed {
+		return item, ok
 	}
-	if q.closed {
-		var zero T
-		return zero, false
+	q.getters.push(queueGetter[T]{p: p})
+	if _, wasClosed := p.parkOn(q.label).(closeSentinel); wasClosed {
+		return item, false
 	}
-	q.getters = append(q.getters, p)
-	v := p.parkOn(q.label)
-	if _, wasClosed := v.(closeSentinel); wasClosed {
-		var zero T
-		return zero, false
+	return q.wakes.pop().item, true
+}
+
+// GetFunc is Get for event context: fn runs with Get's results, at
+// once when Get would not have blocked, otherwise as an event at the
+// point Get's process would have been woken — by a hand-off, or by
+// Close with ok false.
+func (q *Queue[T]) GetFunc(fn func(item T, ok bool)) {
+	if item, ok := q.TryGet(); ok || q.closed {
+		fn(item, ok)
+		return
 	}
-	item = q.handoff[q.hhead]
-	var zero T
-	q.handoff[q.hhead] = zero
-	q.hhead++
-	if q.hhead == len(q.handoff) {
-		q.handoff = q.handoff[:0]
-		q.hhead = 0
-	}
-	return item, true
+	q.getters.push(queueGetter[T]{fn: fn})
 }
 
 // TryGet removes the oldest item without blocking.
 func (q *Queue[T]) TryGet() (item T, ok bool) {
-	if len(q.items) == 0 {
-		var zero T
-		return zero, false
+	if q.items.len() == 0 {
+		return item, false
 	}
-	item = q.pop()
+	item = q.items.pop()
+	q.gets++
 	q.admitPutter()
 	return item, true
 }
 
-func (q *Queue[T]) pop() T {
-	item := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	q.gets++
-	return item
+// atFire schedules the continuation in w as a func event at the
+// current instant, where a process in its place would be dispatched.
+func (q *Queue[T]) atFire(w queueWake[T]) {
+	if q.fire == nil {
+		q.fire = q.runWake
+	}
+	q.wakes.push(w)
+	q.k.At(q.k.now, q.fire)
+}
+
+// runWake is the func event behind every continuation: the oldest
+// entry of wakes is the one this event was scheduled for.
+func (q *Queue[T]) runWake() {
+	w := q.wakes.pop()
+	if w.get != nil {
+		w.get(w.item, w.ok)
+	} else {
+		w.put(w.ok)
+	}
 }
 
 // admitPutter moves one parked producer's item into freed space.
 // Timed putters whose expiry already fired are dropped: their producer
 // has moved on and the item was reported rejected.
 func (q *Queue[T]) admitPutter() {
-	for len(q.putters) > 0 {
-		w := q.putters[0]
-		q.putters = q.putters[1:]
+	for q.putters.len() > 0 {
+		w := q.putters.pop()
 		if w.timed && !w.timer.Stop() {
 			continue
 		}
-		q.items = append(q.items, w.item)
+		q.items.push(w.item)
 		q.puts++
-		q.k.atDispatch(q.k.now, w.p, nil)
+		if w.p != nil {
+			q.k.atDispatch(q.k.now, w.p, nil)
+		} else {
+			q.atFire(queueWake[T]{put: w.fn, ok: true})
+		}
 		return
 	}
 }
 
 // Close marks the queue closed and wakes every blocked getter and
-// putter. Buffered items remain retrievable; Get drains them before
-// reporting closure. Closing twice is a no-op.
+// putter; parked continuations run with ok false. Buffered items
+// remain retrievable; Get drains them before reporting closure.
+// Closing twice is a no-op.
 func (q *Queue[T]) Close() {
 	if q.closed {
 		return
 	}
 	q.closed = true
-	gs, ps := q.getters, q.putters
-	q.getters, q.putters = nil, nil
-	for _, g := range gs {
-		q.k.atDispatch(q.k.now, g, closeSentinel{})
+	for q.getters.len() > 0 {
+		if g := q.getters.pop(); g.p != nil {
+			q.k.atDispatch(q.k.now, g.p, closeSentinel{})
+		} else {
+			q.atFire(queueWake[T]{get: g.fn})
+		}
 	}
-	for _, w := range ps {
+	for q.putters.len() > 0 {
+		w := q.putters.pop()
 		if w.timed && !w.timer.Stop() {
 			continue // its timeout fired first; the producer moved on
 		}
-		q.k.atDispatch(q.k.now, w.p, closeSentinel{})
+		if w.p != nil {
+			q.k.atDispatch(q.k.now, w.p, closeSentinel{})
+		} else {
+			q.atFire(queueWake[T]{put: w.fn})
+		}
 	}
 }

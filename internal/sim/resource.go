@@ -16,7 +16,7 @@ type Resource struct {
 	label string
 	cap   int
 	inUse int
-	queue []*resWaiter
+	queue fifo[resWaiter]
 
 	lastChange Time
 	busyInt    float64 // integral of inUse over time, unit-ns
@@ -42,7 +42,7 @@ func (r *Resource) Cap() int { return r.cap }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of parked acquirers.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.len() }
 
 func (r *Resource) account() {
 	now := r.k.now
@@ -66,12 +66,12 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: acquire %d of capacity %d", n, r.cap))
 	}
-	if len(r.queue) == 0 && r.inUse+n <= r.cap {
+	if r.queue.len() == 0 && r.inUse+n <= r.cap {
 		r.account()
 		r.inUse += n
 		return
 	}
-	r.queue = append(r.queue, &resWaiter{p: p, n: n})
+	r.queue.push(resWaiter{p: p, n: n})
 	p.parkOn(r.label)
 }
 
@@ -80,7 +80,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: acquire %d of capacity %d", n, r.cap))
 	}
-	if len(r.queue) == 0 && r.inUse+n <= r.cap {
+	if r.queue.len() == 0 && r.inUse+n <= r.cap {
 		r.account()
 		r.inUse += n
 		return true
@@ -96,9 +96,8 @@ func (r *Resource) Release(n int) {
 	}
 	r.account()
 	r.inUse -= n
-	for len(r.queue) > 0 && r.inUse+r.queue[0].n <= r.cap {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
+	for r.queue.len() > 0 && r.inUse+r.queue.live()[0].n <= r.cap {
+		w := r.queue.pop()
 		r.inUse += w.n
 		r.k.atDispatch(r.k.now, w.p, nil)
 	}

@@ -48,6 +48,21 @@ func (s *Serializer) FreeAt() Time {
 // instant.
 func (s *Serializer) Busy() bool { return s.horizon > s.k.now }
 
+// book occupies the resource for hold starting as soon as it is free
+// and returns the time its user is done: the release time plus post.
+func (s *Serializer) book(hold, post Time) Time {
+	if hold < 0 || post < 0 {
+		panic(fmt.Sprintf("sim: serializer use hold %v post %v", hold, post))
+	}
+	start := s.k.now
+	if s.horizon > start {
+		start = s.horizon
+	}
+	s.horizon = start + hold
+	s.busy += hold
+	return s.horizon + post
+}
+
 // Use occupies the resource for hold starting as soon as it is free,
 // then keeps the process asleep for a further post after release —
 // the idiom for "per-unit engine time, then fixed post-processing
@@ -55,17 +70,13 @@ func (s *Serializer) Busy() bool { return s.horizon > s.k.now }
 // resource itself frees at start+hold exactly as if Release had run
 // then.
 func (s *Serializer) Use(p *Proc, hold, post Time) {
-	if hold < 0 || post < 0 {
-		panic(fmt.Sprintf("sim: serializer use hold %v post %v", hold, post))
-	}
-	now := s.k.now
-	start := now
-	if s.horizon > start {
-		start = s.horizon
-	}
-	s.horizon = start + hold
-	s.busy += hold
-	p.sleepOn(s.horizon+post-now, s.label)
+	p.sleepOn(s.book(hold, post)-s.k.now, s.label)
+}
+
+// UseFunc is Use for event context: it books the same occupancy and
+// schedules fn as the event that would have woken Use's process.
+func (s *Serializer) UseFunc(hold, post Time, fn func()) {
+	s.k.At(s.book(hold, post), fn)
 }
 
 // Utilization reports the fraction of virtual time the resource has

@@ -83,8 +83,9 @@ type Acceptor struct {
 }
 
 // Provider is the emulated VIA adapter of one node: the user-level
-// library state plus the NIC engines (descriptor fetch, DMA, wire TX,
-// RX) running as simulation processes.
+// library state plus the NIC engines: descriptor fetch with DMA, and
+// RX, running as simulation processes, and wire TX as event-context
+// continuations.
 type Provider struct {
 	node *cluster.Node
 	net  *netsim.Network
@@ -199,7 +200,9 @@ func NewProvider(node *cluster.Node, net *netsim.Network, cfg Config) *Provider 
 		_ = pr.rxQ.TryPut(pk)
 	})
 	k.Go("via-txdesc/"+node.Name(), pr.txDescLoop)
-	k.Go("via-txwire/"+node.Name(), pr.txWireLoop)
+	// The wire stage pipelines with the DMA stage through the bounded
+	// txFIFO.
+	net.TransmitFrom(pr.txFIFO)
 	k.Go("via-rx/"+node.Name(), pr.rxLoop)
 	return pr
 }
@@ -330,18 +333,6 @@ func (pr *Provider) txDescLoop(p *sim.Proc) {
 		hpsmon.Count(pr.node.Kernel(), "via", "bytes.sent", int64(desc.Len))
 		vi.sendCQ.post(Completion{VI: vi, Desc: desc, Status: StatusOK})
 		sc.End()
-	}
-}
-
-// txWireLoop drains the NIC transmit FIFO onto the wire; it pipelines
-// with the DMA stage through the bounded txFIFO.
-func (pr *Provider) txWireLoop(p *sim.Proc) {
-	for {
-		f, ok := pr.txFIFO.Get(p)
-		if !ok {
-			return
-		}
-		pr.net.Transmit(p, f)
 	}
 }
 

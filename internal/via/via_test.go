@@ -451,3 +451,16 @@ func TestViaDeterministicReplay(t *testing.T) {
 		t.Fatalf("replay diverged: %v vs %v", a, b)
 	}
 }
+
+// The wire stage is an event-context continuation chain, so an idle
+// provider is two processes: descriptor fetch with DMA, and receive.
+func TestProviderSpawnsTwoEngines(t *testing.T) {
+	k := sim.NewKernel()
+	net := netsim.New(k, netsim.CLANConfig())
+	node := cluster.New(k, net).AddNode("a", cluster.DefaultConfig())
+	before := k.ProcsSpawned()
+	NewProvider(node, net, CLANConfig())
+	if got := k.ProcsSpawned() - before; got != 2 {
+		t.Fatalf("NewProvider spawned %d processes, want 2 (tx descriptor engine, rx engine)", got)
+	}
+}
