@@ -186,7 +186,8 @@ func main() {
 
 	// Kernel-level micro-benchmarks: the event queue alone (ladder
 	// push/pop churn across every time regime), the doorbell path
-	// (queue hand-off, one park per item), and the two costs a park can
+	// (queue hand-off, one park per item), the two FIFO-resource
+	// protocols under contention, and the two costs a park can
 	// have under baton passing: none (the parking process's own wake-up
 	// is next) or one goroutine switch (another process's is).
 	micro := []struct {
@@ -197,6 +198,8 @@ func main() {
 		{"QueueDoorbell", benchQueueDoorbell(procConsumer)},
 		{"QueueDoorbellFunc", benchQueueDoorbell(funcConsumer)},
 		{"SerializerUse", benchSerializerUse},
+		{"ResourceUse", benchResourceUse(procUser)},
+		{"ResourceUseFunc", benchResourceUse(funcUser)},
 		{"ParkSelf", benchParkSelf},
 		{"ParkHandoff", benchParkHandoff},
 	}
@@ -440,6 +443,44 @@ func benchSerializerUse(b *testing.B) {
 		}
 		k.RunAll()
 	}
+}
+
+// benchResourceUse measures the counted semaphore's full protocol
+// under contention, the shape of VIA's DMA engine: four users sharing
+// one unit, each use an admission by the previous user's release and a
+// hold. With funcUser the users are UseFunc continuations, as the
+// adapter's engines are: the same events and no parks.
+func benchResourceUse(user func(k *sim.Kernel, r *sim.Resource, uses int)) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := sim.NewKernel()
+			r := sim.NewResource(k, 1)
+			const uses = 10_000
+			for un := 0; un < 4; un++ {
+				user(k, r, uses/4)
+			}
+			k.RunAll()
+		}
+	}
+}
+
+func procUser(k *sim.Kernel, r *sim.Resource, uses int) {
+	k.Go("user", func(p *sim.Proc) {
+		for j := 0; j < uses; j++ {
+			r.Use(p, 1, 3)
+		}
+	})
+}
+
+func funcUser(k *sim.Kernel, r *sim.Resource, uses int) {
+	var use func()
+	use = func() {
+		if uses--; uses >= 0 {
+			r.UseFunc(1, 3, use)
+		}
+	}
+	k.After(0, use)
 }
 
 // benchParkSelf measures the zero-switch park, mirroring

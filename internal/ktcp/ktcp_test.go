@@ -2,6 +2,7 @@ package ktcp
 
 import (
 	"io"
+	"runtime/debug"
 	"testing"
 
 	"hpsockets/internal/cluster"
@@ -484,6 +485,29 @@ func TestStackSpawnsOnlySoftnet(t *testing.T) {
 	NewStack(node, net, LinuxCLANConfig())
 	if got := k.ProcsSpawned() - before; got != 1 {
 		t.Fatalf("NewStack spawned %d processes, want 1 (softnet)", got)
+	}
+}
+
+// The ack stage drops a backlog of acks whose connection is gone in a
+// loop: 10,000 of them fit the stack a test normally needs, all go
+// back to the segment pool and the stage stays ready for a live ack.
+func TestAckStageDropsStaleBacklogWithoutRecursion(t *testing.T) {
+	const backlog = 10_000
+	defer debug.SetMaxStack(debug.SetMaxStack(256 << 10))
+	k := sim.NewKernel()
+	net := netsim.New(k, netsim.CLANConfig())
+	node := cluster.New(k, net).AddNode("a", cluster.DefaultConfig())
+	st := NewStack(node, net, LinuxCLANConfig())
+	k.After(10, func() {
+		for i := 0; i < backlog; i++ {
+			ack := st.allocSeg(true)
+			ack.kind, ack.srcConn = segAck, 99
+			_ = st.ackQ.TryPut(ack)
+		}
+	})
+	k.RunAll()
+	if st.ackQ.Len() != 0 || len(st.segPool) != backlog {
+		t.Fatalf("%d acks still queued, %d segments recycled, want 0 and %d", st.ackQ.Len(), len(st.segPool), backlog)
 	}
 }
 

@@ -315,15 +315,21 @@ func (st *Stack) startEgress(k *sim.Kernel) {
 		if !ok {
 			return
 		}
-		c := st.conns[seg.srcConn]
-		if c == nil || c.peerConn == 0 {
+		// Acks of a connection that is gone are dropped in this loop,
+		// not by a nested call each: a backlog of them costs no stack.
+		for {
+			if c := st.conns[seg.srcConn]; c != nil && c.peerConn != 0 {
+				seg.dstConn = c.peerConn
+				st.nicQ.PutFunc(st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
+					st.cfg.AckSize, seg), ackNext)
+				return
+			}
 			freeSeg(seg)
-			ackNext(true)
-			return
+			if seg, ok = st.ackQ.TryGet(); !ok {
+				ackNext(true)
+				return
+			}
 		}
-		seg.dstConn = c.peerConn
-		st.nicQ.PutFunc(st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
-			st.cfg.AckSize, seg), ackNext)
 	}
 	ackNext = func(bool) { st.ackQ.GetFunc(ackGot) }
 

@@ -224,6 +224,115 @@ func TestContinuationOracle(t *testing.T) {
 	}
 }
 
+// resRun drives seeded users through one Resource: each sleeps, takes
+// n units for a hold and logs. form picks how the users are written: as
+// processes calling Use, as continuation chains calling UseFunc, or
+// every other one each. A rival process takes and returns a unit with
+// Acquire/Release throughout, so continuations are admitted by a
+// process's Release and processes by a continuation's.
+func resRun(seed int64, capacity int, form string) contResult {
+	k := NewKernel()
+	var res contResult
+	k.SetProfiler(&res.prof)
+	rng := rand.New(rand.NewSource(seed))
+	logf := func(format string, args ...any) {
+		res.log = append(res.log, fmt.Sprintf("%d ", int64(k.now))+fmt.Sprintf(format, args...))
+	}
+	r := NewResource(k, capacity)
+	const users, rounds = 5, 25
+	for id := 0; id < users; id++ {
+		id := id
+		if form == "procs" || form == "mixed" && id%2 == 1 {
+			k.Go("user", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					p.Sleep(Time(rng.Intn(8)))
+					n, d := 1+rng.Intn(capacity), Time(rng.Intn(7))
+					waited := r.inUse+n > capacity || r.queue.len() > 0
+					r.Use(p, n, d)
+					logf("user %d used %d for %d waited %v, %d in use", id, n, int64(d), waited, r.inUse)
+				}
+			})
+			continue
+		}
+		i, n, d, waited := 0, 0, Time(0), false
+		var sleep, use, used func()
+		sleep = func() {
+			if i++; i <= rounds {
+				k.After(Time(rng.Intn(8)), use)
+			}
+		}
+		use = func() {
+			n, d = 1+rng.Intn(capacity), Time(rng.Intn(7))
+			waited = r.inUse+n > capacity || r.queue.len() > 0
+			r.UseFunc(n, d, used)
+		}
+		used = func() {
+			logf("user %d used %d for %d waited %v, %d in use", id, n, int64(d), waited, r.inUse)
+			sleep()
+		}
+		k.After(0, sleep)
+	}
+	k.Go("rival", func(p *Proc) {
+		for i := 0; i < 40; i++ {
+			p.Sleep(Time(rng.Intn(10)))
+			r.Acquire(p, 1)
+			logf("rival acquired")
+			p.Sleep(Time(rng.Intn(5)))
+			r.Release(1)
+		}
+	})
+	k.RunAll()
+	if r.inUse != 0 || r.queue.len() != 0 || len(r.holds) != 0 || r.admitted.len() != 0 {
+		logf("resource not idle: %d in use, %d waiting, %d holds, %d admitted", r.inUse, r.queue.len(), len(r.holds), r.admitted.len())
+	}
+	res.fired = k.EventsFired()
+	return res
+}
+
+// UseFunc against Use, as TestContinuationOracle holds GetFunc and
+// PutFunc against Get and Put: the same users as processes, as
+// continuations and mixed leave the same log and event count, at unit
+// capacity and above it, and the continuations do not park.
+func TestResourceUseOracle(t *testing.T) {
+	waits := 0
+	for _, capacity := range []int{1, 2} {
+		for seed := int64(1); seed <= 40; seed++ {
+			proc := resRun(seed, capacity, "procs")
+			for _, form := range []string{"funcs", "mixed"} {
+				fn := resRun(seed, capacity, form)
+				if len(proc.log) != len(fn.log) {
+					t.Fatalf("cap %d seed %d: %d steps as processes, %d %s", capacity, seed, len(proc.log), len(fn.log), form)
+				}
+				for i := range proc.log {
+					if proc.log[i] != fn.log[i] {
+						t.Fatalf("cap %d seed %d step %d: processes %q, %s %q", capacity, seed, i, proc.log[i], form, fn.log[i])
+					}
+				}
+				if proc.fired != fn.fired {
+					t.Errorf("cap %d seed %d: EventsFired %d as processes, %d %s", capacity, seed, proc.fired, fn.fired, form)
+				}
+				if proc.prof.ringHits != fn.prof.ringHits {
+					t.Errorf("cap %d seed %d: %d ring hits as processes, %d %s", capacity, seed, proc.prof.ringHits, fn.prof.ringHits, form)
+				}
+				if proc.prof.parks <= fn.prof.parks {
+					t.Errorf("cap %d seed %d: %d parks as processes, %d %s", capacity, seed, proc.prof.parks, fn.prof.parks, form)
+				}
+			}
+			for _, line := range proc.log {
+				if strings.Contains(line, "not idle") {
+					t.Errorf("cap %d seed %d: %s", capacity, seed, line)
+				}
+				if strings.Contains(line, "waited true") {
+					waits++
+				}
+			}
+		}
+	}
+	if waits == 0 {
+		t.Fatal("coverage: no user ever waited for the resource")
+	}
+}
+
 // A continuation parked on a queue that closes runs with ok false, as
 // an event at the instant of the Close: where Get and Put would have
 // returned false to their process.
@@ -305,6 +414,21 @@ func TestPrimitivesDoNotAllocate(t *testing.T) {
 			t.Fatalf("%v allocs per 10 continuation hand-offs", n)
 		}
 	})
+	for _, users := range []int{1, 3} {
+		t.Run(fmt.Sprintf("Resource.UseFunc, %d users", users), func(t *testing.T) {
+			k := NewKernel()
+			r := NewResource(k, 1)
+			for i := 0; i < users; i++ {
+				var again func()
+				again = func() { r.UseFunc(1, 2, again) }
+				again()
+			}
+			k.Run(100)
+			if n := testing.AllocsPerRun(100, func() { k.Run(k.Now() + 10) }); n != 0 {
+				t.Fatalf("%v allocs per 5 uses", n)
+			}
+		})
+	}
 	t.Run("contended Resource.Use", func(t *testing.T) {
 		k := NewKernel()
 		r := NewResource(k, 1)

@@ -112,6 +112,7 @@ type Kernel struct {
 	// stats
 	fired   uint64
 	spawned uint64
+	nextID  uint64 // of the next Proc: spawned, plus identities claimed
 
 	// optional trace sink (see trace.go)
 	trace TraceFunc

@@ -48,11 +48,12 @@ func (k *Kernel) GoAfter(d Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		k:      k,
 		name:   name,
-		id:     k.spawned,
+		id:     k.nextID,
 		resume: make(chan any),
 		parked: true, // a fresh proc waits for its first activation
 	}
 	p.term = NewSignal(k)
+	k.nextID++
 	k.spawned++
 	k.procs++
 	go func() {
@@ -65,6 +66,18 @@ func (k *Kernel) GoAfter(d Time, name string, fn func(p *Proc)) *Proc {
 		k.drive(p) // an exiting process still holds the baton
 	}()
 	k.atDispatch(k.now+d, p, nil)
+	return p
+}
+
+// Identity returns a process that is a name and a spawn id and nothing
+// more: no goroutine, never dispatched, not counted as spawned, and it
+// must not be handed to a blocking call. A hardware stage that runs as
+// continuations keeps one so that its telemetry spans stay on a thread
+// of their own (ID, Name, MonSpan), the thread the process it replaced
+// gave them: the id is the one Go would have claimed in its place.
+func (k *Kernel) Identity(name string) *Proc {
+	p := &Proc{k: k, name: name, id: k.nextID}
+	k.nextID++
 	return p
 }
 

@@ -1,22 +1,45 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// resWaiter is a parked process waiting to acquire n units.
+// resWaiter is a user waiting to acquire n units: a parked process, or
+// a UseFunc continuation, for which t is the length of its hold while
+// it waits and the end of the hold once it has the units.
 type resWaiter struct {
-	p *Proc
-	n int
+	p  *Proc
+	n  int
+	t  Time
+	fn func()
 }
 
 // Resource is a counted semaphore with a FIFO wait queue, used to
 // model contended hardware such as CPUs, DMA engines and I/O ports. It
 // also integrates utilization over time for experiment reporting.
+//
+// Use has an event-context twin, UseFunc, for users that model
+// hardware rather than a thread of control (see Queue): continuations
+// wait in the same FIFO as processes, and each of Use's two wake-ups,
+// the admission by Release and the end of the hold, is a func event in
+// the same (time, seq) position.
 type Resource struct {
 	k     *Kernel
 	label string
 	cap   int
 	inUse int
 	queue fifo[resWaiter]
+
+	// Continuations in flight: admitted are those Release let in, in
+	// schedule order, which is firing order (their events carry one
+	// instant and increasing seq); holds are the running holds, oldest
+	// first, which end in any order. One thunk per kind of event, bound
+	// at first use, serves them all, so a use allocates nothing.
+	admitted fifo[resWaiter]
+	holds    []resWaiter
+	admit    func()
+	endHold  func()
 
 	lastChange Time
 	busyInt    float64 // integral of inUse over time, unit-ns
@@ -63,16 +86,10 @@ func (r *Resource) Utilization() float64 {
 // Acquire takes n units, blocking FIFO behind earlier acquirers while
 // insufficient units are free.
 func (r *Resource) Acquire(p *Proc, n int) {
-	if n <= 0 || n > r.cap {
-		panic(fmt.Sprintf("sim: acquire %d of capacity %d", n, r.cap))
+	if !r.TryAcquire(n) {
+		r.queue.push(resWaiter{p: p, n: n})
+		p.parkOn(r.label)
 	}
-	if r.queue.len() == 0 && r.inUse+n <= r.cap {
-		r.account()
-		r.inUse += n
-		return
-	}
-	r.queue.push(resWaiter{p: p, n: n})
-	p.parkOn(r.label)
 }
 
 // TryAcquire takes n units without blocking and reports success.
@@ -99,7 +116,15 @@ func (r *Resource) Release(n int) {
 	for r.queue.len() > 0 && r.inUse+r.queue.live()[0].n <= r.cap {
 		w := r.queue.pop()
 		r.inUse += w.n
-		r.k.atDispatch(r.k.now, w.p, nil)
+		if w.p != nil {
+			r.k.atDispatch(r.k.now, w.p, nil)
+		} else {
+			if r.admit == nil {
+				r.admit = func() { r.hold(r.admitted.pop()) }
+			}
+			r.admitted.push(w)
+			r.k.At(r.k.now, r.admit)
+		}
 	}
 }
 
@@ -109,4 +134,41 @@ func (r *Resource) Use(p *Proc, n int, d Time) {
 	r.Acquire(p, n)
 	p.sleepOn(d, r.label)
 	r.Release(n)
+}
+
+// UseFunc is Use for event context: it takes the units as Acquire
+// would, at once or in FIFO turn behind earlier users, holds them for
+// d, releases them and runs fn, with a func event wherever Use's
+// process would have been woken.
+func (r *Resource) UseFunc(n int, d Time, fn func()) {
+	w := resWaiter{n: n, t: d, fn: fn}
+	if r.TryAcquire(n) {
+		r.hold(w)
+	} else {
+		r.queue.push(w)
+	}
+}
+
+// hold starts the hold of a continuation that has its units.
+func (r *Resource) hold(w resWaiter) {
+	if r.endHold == nil {
+		r.endHold = r.runEndHold
+	}
+	w.t += r.k.now
+	r.holds = append(r.holds, w)
+	r.k.At(w.t, r.endHold)
+}
+
+// runEndHold is the func event behind the end of every hold. Events
+// fire in (time, seq) order, so the one firing is the oldest hold that
+// ends now.
+func (r *Resource) runEndHold() {
+	i := 0
+	for r.holds[i].t != r.k.now {
+		i++
+	}
+	w := r.holds[i]
+	r.holds = slices.Delete(r.holds, i, i+1)
+	r.Release(w.n)
+	w.fn()
 }

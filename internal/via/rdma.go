@@ -69,34 +69,20 @@ func (vi *VI) PostRDMAWrite(p *sim.Proc, desc *Desc, handle uint32, offset int) 
 	return nil
 }
 
-// rxRDMA lands an RDMA fragment in the target region. A protection
+// landRDMA lands an RDMA fragment in the target region. A protection
 // violation breaks the connection, as reliable-delivery VIA does.
-func (pr *Provider) rxRDMA(p *sim.Proc, pk *packet) {
-	vi := pr.vis[pk.dstVI]
-	if vi == nil || vi.state == viBroken {
-		return
-	}
-	p.Sleep(pr.cfg.NICRxPerFrame)
-	pr.dmaUse(p, pk.fragLen)
-	if pk.corrupt {
-		pr.lossBreak(p, vi, "rdma checksum "+pk.srcPort, pk.fragLen)
-		return
-	}
-	if pk.seq != vi.rxSeq {
-		pr.lossBreak(p, vi, fmt.Sprintf("rdma seq gap %d!=%d %s", pk.seq, vi.rxSeq, pk.srcPort), pk.fragLen)
-		return
-	}
-	vi.rxSeq++
-	region := pr.rdmaRegions[pk.rdmaHandle]
+func (e *rxEngine) landRDMA() {
+	pk := e.pk
+	region := e.pr.rdmaRegions[pk.rdmaHandle]
 	if region == nil || !region.rdma || pk.rdmaOffset+pk.fragLen > region.size {
-		vi.breakLocal()
-		pr.sendControl(p, vi.peerPort, pkBreak, vi.id, vi.peerVI, 0)
+		e.breakVI()
 		return
 	}
 	if pk.frag != nil {
 		copy(region.bytes[pk.rdmaOffset:], pk.frag)
 	}
-	vi.rdmaBytes += pk.fragLen
+	e.vi.rdmaBytes += pk.fragLen
+	e.finish()
 }
 
 // RDMABytesReceived reports the total bytes landed in this VI's

@@ -452,15 +452,15 @@ func TestViaDeterministicReplay(t *testing.T) {
 	}
 }
 
-// The wire stage is an event-context continuation chain, so an idle
-// provider is two processes: descriptor fetch with DMA, and receive.
-func TestProviderSpawnsTwoEngines(t *testing.T) {
+// All three NIC engines are event-context continuation chains, so a
+// provider starts no process at all.
+func TestProviderSpawnsNoProcesses(t *testing.T) {
 	k := sim.NewKernel()
 	net := netsim.New(k, netsim.CLANConfig())
 	node := cluster.New(k, net).AddNode("a", cluster.DefaultConfig())
 	before := k.ProcsSpawned()
 	NewProvider(node, net, CLANConfig())
-	if got := k.ProcsSpawned() - before; got != 2 {
-		t.Fatalf("NewProvider spawned %d processes, want 2 (tx descriptor engine, rx engine)", got)
+	if got := k.ProcsSpawned() - before; got != 0 {
+		t.Fatalf("NewProvider spawned %d processes, want 0", got)
 	}
 }
