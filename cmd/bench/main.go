@@ -187,7 +187,8 @@ func main() {
 	// Kernel-level micro-benchmarks: the event queue alone (ladder
 	// push/pop churn across every time regime), the doorbell path
 	// (queue hand-off, one park per item), the two FIFO-resource
-	// protocols under contention, and the two costs a park can
+	// protocols under contention, the two waits of ktcp's kernel half
+	// (a condition broadcast, a CPU charge), and the two costs a park can
 	// have under baton passing: none (the parking process's own wake-up
 	// is next) or one goroutine switch (another process's is).
 	micro := []struct {
@@ -200,6 +201,10 @@ func main() {
 		{"SerializerUse", benchSerializerUse},
 		{"ResourceUse", benchResourceUse(procUser)},
 		{"ResourceUseFunc", benchResourceUse(funcUser)},
+		{"CondWait", benchCondWait(procWaiter)},
+		{"CondWaitFunc", benchCondWait(funcWaiter)},
+		{"NodeOverhead", benchNodeOverhead(procCharger)},
+		{"NodeOverheadFunc", benchNodeOverhead(funcCharger)},
 		{"ParkSelf", benchParkSelf},
 		{"ParkHandoff", benchParkHandoff},
 	}
@@ -481,6 +486,89 @@ func funcUser(k *sim.Kernel, r *sim.Resource, uses int) {
 		}
 	}
 	k.After(0, use)
+}
+
+// benchCondWait measures the broadcast wake-up, the shape of ktcp's
+// transmit engines on the send condition: four waiters on one Cond,
+// each woken by every broadcast and waiting again at once. With
+// funcWaiter the waiters are WaitFunc continuations, as the engines
+// are: the same events, and only the broadcaster parks.
+func benchCondWait(waiter func(k *sim.Kernel, c *sim.Cond, waits int)) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := sim.NewKernel()
+			c := sim.NewCond(k)
+			const wakes = 10_000
+			for wn := 0; wn < 4; wn++ {
+				waiter(k, c, wakes/4)
+			}
+			k.Go("broadcaster", func(p *sim.Proc) {
+				for j := 0; j < wakes/4; j++ {
+					p.Sleep(1)
+					c.Broadcast()
+				}
+			})
+			k.RunAll()
+		}
+	}
+}
+
+func procWaiter(k *sim.Kernel, c *sim.Cond, waits int) {
+	k.Go("waiter", func(p *sim.Proc) {
+		for j := 0; j < waits; j++ {
+			c.Wait(p)
+		}
+	})
+}
+
+func funcWaiter(k *sim.Kernel, c *sim.Cond, waits int) {
+	var wait func()
+	wait = func() {
+		if waits--; waits >= 0 {
+			c.WaitFunc(wait)
+		}
+	}
+	k.After(0, wait)
+}
+
+// benchNodeOverhead measures the protocol CPU charge under contention,
+// the shape of softnet beside the application's system calls: four
+// users of a node's two CPUs. With funcCharger the users are
+// OverheadFunc continuations, as softnet is: the same events and no
+// parks.
+func benchNodeOverhead(charger func(k *sim.Kernel, n *cluster.Node, charges int)) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := sim.NewKernel()
+			n := cluster.New(k, netsim.New(k, netsim.CLANConfig())).AddNode("n0", cluster.DefaultConfig())
+			const charges = 10_000
+			for un := 0; un < 4; un++ {
+				charger(k, n, charges/4)
+			}
+			k.RunAll()
+		}
+	}
+}
+
+func procCharger(k *sim.Kernel, n *cluster.Node, charges int) {
+	k.Go("user", func(p *sim.Proc) {
+		for j := 0; j < charges; j++ {
+			n.Overhead(p, 3)
+		}
+	})
+}
+
+func funcCharger(k *sim.Kernel, n *cluster.Node, charges int) {
+	ident := k.Identity("user")
+	var charge func()
+	charge = func() {
+		if charges--; charges >= 0 {
+			n.OverheadFunc(ident, 3, charge)
+		}
+	}
+	k.After(0, charge)
 }
 
 // benchParkSelf measures the zero-switch park, mirroring

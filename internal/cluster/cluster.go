@@ -37,7 +37,7 @@ type Node struct {
 	// failed marks a crashed node: its CPUs never finish another unit
 	// of work and the fault injector discards all its traffic.
 	failed bool
-	// revive wakes procs halted by the current crash; Restart fires it.
+	// revive wakes what the current crash halted; Restart fires it.
 	// One signal per crash epoch: a signal fires at most once.
 	revive *sim.Signal
 	// restartHooks run inside each Restart instant, in registration
@@ -142,13 +142,13 @@ func (n *Node) SetProbabilisticSlowdown(factor, prob float64, seed int64) {
 // SlowFactor reports the configured factor.
 func (n *Node) SlowFactor() float64 { return n.factor }
 
-// Fail crashes the node at the current instant: every Compute or
-// Overhead call from then on parks its proc until the node restarts
-// (forever, if it never does), modelling a host that stops
-// mid-instruction. Procs already inside a CPU occupancy finish that
-// occupancy (the discrete-event equivalent of in-flight work
-// draining); they hang at their next CPU use. Frame-level isolation of
-// a failed node is the fault injector's job.
+// Fail crashes the node at the current instant: every Compute,
+// Overhead or OverheadFunc call from then on halts its proc or
+// continuation until the node restarts (forever, if it never does),
+// modelling a host that stops mid-instruction. Users already inside a
+// CPU occupancy finish it (the discrete-event equivalent of in-flight
+// work draining); they hang at their next CPU use. Frame-level
+// isolation of a failed node is the fault injector's job.
 func (n *Node) Fail() {
 	if n.failed {
 		return
@@ -159,9 +159,9 @@ func (n *Node) Fail() {
 }
 
 // Restart revives a crashed node at the current instant: the failed
-// flag clears, every proc halted in Compute or Overhead resumes the
-// CPU use it was attempting (the OS-reboot view of a protocol stack:
-// its processes pick up where the host stopped), and the registered
+// flag clears, every proc or continuation halted at a CPU use resumes
+// the use it was attempting (the OS-reboot view of a protocol stack:
+// its work picks up where the host stopped), and the registered
 // OnRestart hooks run in registration order. Restarting a live node is
 // a no-op. A node that never restarts behaves exactly as before this
 // method existed: the revive signal simply never fires.
@@ -200,10 +200,18 @@ func (n *Node) Failed() bool { return n.failed }
 // case the node crashed again in the same instant.
 func (n *Node) haltIfFailed(p *sim.Proc) {
 	for n.failed {
-		n.k.Trace("cluster", "node-halt", 0, n.name+": "+p.Name())
-		hpsmon.Instant(p, "cluster", "node-halt", n.name)
+		n.noteHalt(p)
 		p.Wait(n.revive)
 	}
+}
+
+// noteHalt reports that p (a process, or the identity of a
+// continuation engine) stopped at a CPU use on the crashed node.
+func (n *Node) noteHalt(p *sim.Proc) {
+	if n.k.Tracing() {
+		n.k.Trace("cluster", "node-halt", 0, n.name+": "+p.Name())
+	}
+	hpsmon.Instant(p, "cluster", "node-halt", n.name)
 }
 
 // computeScale picks the slowdown for one unit of computation.
@@ -235,12 +243,34 @@ func (n *Node) Compute(p *sim.Proc, nominal sim.Time) {
 
 // Overhead occupies one CPU for exactly d, unscaled. Protocol
 // processing uses this: the paper's emulation slows computation only.
+// Work done on an application's thread (system calls, copies) calls it
+// with that process; work done in kernel context uses OverheadFunc.
 func (n *Node) Overhead(p *sim.Proc, d sim.Time) {
 	if d <= 0 {
 		return
 	}
 	n.haltIfFailed(p)
 	n.cpu.Use(p, 1, d)
+}
+
+// OverheadFunc is Overhead for event context (see sim.Queue): protocol
+// work the kernel does in interrupt or bottom-half context occupies a
+// CPU but is no thread of control, so it runs as a continuation. fn
+// runs where Overhead's process would have carried on: at once for a
+// non-positive d, otherwise as the event that ends the CPU hold. A
+// crashed node halts the work as it halts a process, reported on ident,
+// and Restart resumes it; the check repeats then, since the node may
+// have crashed again within the restart instant.
+func (n *Node) OverheadFunc(ident *sim.Proc, d sim.Time, fn func()) {
+	switch {
+	case d <= 0:
+		fn()
+	case n.failed:
+		n.noteHalt(ident)
+		n.revive.WaitFunc(func() { n.OverheadFunc(ident, d, fn) })
+	default:
+		n.cpu.UseFunc(1, d, fn)
+	}
 }
 
 // ComputeBusy reports total (scaled) CPU time consumed via Compute.

@@ -7,7 +7,7 @@
 // per-call constant), data copies between user and kernel space on
 // both sides, per-segment protocol processing, and ack traffic. All
 // receive-side protocol processing for a node runs in one "softnet"
-// process, reproducing the effectively serialized network stack of
+// context, reproducing the effectively serialized network stack of
 // Linux 2.2 SMP (big kernel lock): aggregate receive throughput of a
 // node does not scale with its second CPU, which is the mechanism
 // behind the paper's observation that TCP cannot sustain more than
@@ -42,7 +42,7 @@ type Config struct {
 
 	// TxPerSegment is protocol processing per outgoing segment
 	// (charged under the stack lock); RxPerSegment per incoming
-	// segment (charged in the softnet process).
+	// segment (charged in softnet).
 	TxPerSegment sim.Time
 	RxPerSegment sim.Time
 

@@ -19,7 +19,8 @@ var ErrClosed = errors.New("ktcp: connection closed")
 var ErrTimeout = errors.New("ktcp: operation timed out")
 
 // Conn is one endpoint of an established TCP connection: an in-order
-// reliable byte stream with kernel-path costs.
+// reliable byte stream with kernel-path costs. Send only fills the send
+// buffer; the connection's transmit engine (engine.go) empties it.
 type Conn struct {
 	st       *Stack
 	id       uint32
@@ -83,8 +84,11 @@ func (c *Conn) fail(err error) {
 	if !c.closeDone.Fired() {
 		c.closeDone.Fire(nil)
 	}
-	c.st.node.Kernel().Trace("ktcp", "conn-fail", 0, c.peerPort+": "+err.Error())
-	hpsmon.InstantK(c.st.node.Kernel(), "ktcp", "conn-fail", c.peerPort)
+	k := c.st.node.Kernel()
+	if k.Tracing() {
+		k.Trace("ktcp", "conn-fail", 0, c.peerPort+": "+err.Error())
+	}
+	hpsmon.InstantK(k, "ktcp", "conn-fail", c.peerPort)
 }
 
 // ID reports the connection id on its stack.
@@ -361,74 +365,3 @@ func (c *Conn) Close(p *sim.Proc) error {
 
 // Buffered reports bytes waiting in the receive buffer.
 func (c *Conn) Buffered() int { return c.rcvBuf.Len() }
-
-// txLoop is the per-connection transmit engine: it segments the send
-// buffer at the MSS, honours the peer's advertised window, charges
-// per-segment protocol processing under the stack lock, and hands
-// segments to the DMA engine and wire.
-func (c *Conn) txLoop(p *sim.Proc) {
-	st := c.st
-	cfg := st.cfg
-	p.Wait(c.connSig)
-	for {
-		var n int
-		for {
-			if c.failErr != nil {
-				return
-			}
-			avail := c.sndBuf.Len()
-			if c.closing && avail == 0 {
-				c.transmitFIN(p)
-				return
-			}
-			wnd := int(c.sndLimit - c.sent)
-			if avail > 0 && wnd > 0 {
-				n = cfg.MSS
-				if avail < n {
-					n = avail
-				}
-				if wnd < n {
-					n = wnd
-				}
-				// Nagle: hold back a sub-MSS segment while earlier
-				// data is unacknowledged and more may be coming.
-				if !(cfg.Nagle && n < cfg.MSS && c.inflight() > 0 && !c.closing) {
-					break
-				}
-			}
-			sc := hpsmon.Begin(p, "ktcp", "tx-stall", c.peerPort)
-			c.sndCond.Wait(p)
-			sc.End()
-		}
-		seg := st.allocSeg(cfg.RTO <= 0)
-		seg.data = c.sndBuf.TakeInto(seg.data[:0], n)
-		c.sndCond.Broadcast() // send-buffer space freed
-		st.stackLock.Use(p, cfg.TxPerSegment, 0)
-		seg.kind, seg.srcPort, seg.srcConn, seg.dstConn = segData, st.node.Name(), c.id, c.peerConn
-		seg.seq, seg.length = c.sent, n
-		seg.cumAck, seg.rwnd = c.rcvd, c.rwndAvail()
-		c.sent += int64(n)
-		c.trackRetrans(seg)
-		st.segsOut++
-		st.node.Kernel().Trace("ktcp", "segment-out", int64(n), c.peerPort)
-		hpsmon.Count(st.node.Kernel(), "ktcp", "segments.out", 1)
-		hpsmon.Count(st.node.Kernel(), "ktcp", "bytes.out", int64(n))
-		st.nicQ.Put(p, st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
-			cfg.HeaderSize+n, seg))
-	}
-}
-
-func (c *Conn) transmitFIN(p *sim.Proc) {
-	st := c.st
-	cfg := st.cfg
-	st.stackLock.Use(p, cfg.TxPerSegment, 0)
-	seg := st.allocSeg(cfg.RTO <= 0)
-	seg.kind, seg.srcPort, seg.srcConn, seg.dstConn = segFIN, st.node.Name(), c.id, c.peerConn
-	seg.seq, seg.cumAck, seg.rwnd = c.sent, c.rcvd, c.rwndAvail()
-	c.trackRetrans(seg)
-	st.nicQ.Put(p, st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
-		cfg.HeaderSize, seg))
-	if !c.closeDone.Fired() {
-		c.closeDone.Fire(nil)
-	}
-}

@@ -2,6 +2,7 @@ package ktcp
 
 import (
 	"io"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -475,16 +476,41 @@ func TestDelayedAckTimerFlushes(t *testing.T) {
 	}
 }
 
-// The adapter's egress stages (ack queue, DMA, wire) are event-context
-// continuations, so a stack with no connections is one process.
-func TestStackSpawnsOnlySoftnet(t *testing.T) {
-	k := sim.NewKernel()
-	net := netsim.New(k, netsim.CLANConfig())
-	node := cluster.New(k, net).AddNode("a", cluster.DefaultConfig())
-	before := k.ProcsSpawned()
-	NewStack(node, net, LinuxCLANConfig())
-	if got := k.ProcsSpawned() - before; got != 1 {
-		t.Fatalf("NewStack spawned %d processes, want 1 (softnet)", got)
+// Softnet, the transmit engines and the adapter's egress stages (ack
+// queue, DMA, wire) are event-context continuations: a stack, a
+// listener and a connection's two ends start no process, and only the
+// application's own threads are ever spawned.
+func TestStackSpawnsNoProcesses(t *testing.T) {
+	r := newRig(2, LinuxCLANConfig())
+	if got := r.k.ProcsSpawned(); got != 0 {
+		t.Fatalf("two stacks spawned %d processes, want 0", got)
+	}
+	r.pair(t,
+		func(p *sim.Proc, c *Conn) { c.SendSize(p, 100_000); c.Close(p) },
+		func(p *sim.Proc, c *Conn) { c.RecvFull(p, make([]byte, 100_000)); c.Close(p) })
+	if got := r.k.ProcsSpawned(); got != 2 {
+		t.Fatalf("%d processes spawned, want 2: the test's client and server", got)
+	}
+}
+
+// Once a transfer is done and both ends are closed nothing of ktcp is
+// left behind in the Go process. As processes, every stack left its
+// softnet goroutine parked for good, and every connection that was not
+// closed its transmit engine's.
+func TestFinishedTransferLeavesNoKtcpGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	r := newRig(2, LinuxCLANConfig())
+	r.stacks[0].newConn() // never connected, never closed
+	r.pair(t,
+		func(p *sim.Proc, c *Conn) { c.SendSize(p, 100_000); c.Close(p) },
+		func(p *sim.Proc, c *Conn) { c.RecvFull(p, make([]byte, 100_000)); c.Close(p) })
+	// The client and server have returned; their goroutines may need a
+	// moment to unwind.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after the run, %d before it", got, before)
 	}
 }
 

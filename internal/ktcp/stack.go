@@ -73,7 +73,11 @@ type Listener struct {
 	q   *sim.Queue[*segment]
 }
 
-// Stack is the kernel network stack of one node.
+// Stack is the kernel network stack of one node. Its kernel half
+// (softnet, the connections' transmit engines, the adapter's egress
+// stages) runs as event-context continuations (engine.go) and starts no
+// process; the blocking calls (Accept, Connect, Send, Recv, Close) run
+// on the application's threads.
 type Stack struct {
 	node *cluster.Node
 	net  *netsim.Network
@@ -141,8 +145,8 @@ func freeSeg(s *segment) {
 	s.home.segPool = append(s.home.segPool, s)
 }
 
-// NewStack attaches a kernel TCP stack to the node and starts its
-// softnet process and its adapter's egress stages.
+// NewStack attaches a kernel TCP stack to the node and starts softnet
+// and the adapter's egress stages. None of them is a process.
 func NewStack(node *cluster.Node, net *netsim.Network, cfg Config) *Stack {
 	if cfg.MSS <= 0 || cfg.SndBuf < cfg.MSS || cfg.RcvBuf < cfg.MSS {
 		panic("ktcp: invalid config")
@@ -181,7 +185,7 @@ func NewStack(node *cluster.Node, net *netsim.Network, cfg Config) *Stack {
 		}
 		_ = st.softQ.TryPut(softItem{seg: f.Payload.(*segment)})
 	})
-	k.Go("ktcp-softnet/"+node.Name(), st.softnetLoop)
+	st.startSoftnet(k)
 	st.startEgress(k)
 	return st
 }
@@ -233,7 +237,7 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 	synack := st.allocSeg(true)
 	synack.kind, synack.srcPort, synack.srcConn, synack.dstConn =
 		segSYNACK, st.node.Name(), c.id, syn.srcConn
-	st.transmitControl(p, syn.srcPort, synack)
+	st.nicQ.Put(p, st.controlFrame(syn.srcPort, synack))
 	return c, nil
 }
 
@@ -248,7 +252,7 @@ func (st *Stack) Connect(p *sim.Proc, remote string, svc int) (*Conn, error) {
 	syn := &segment{
 		kind: segSYN, srcPort: st.node.Name(), srcConn: c.id, svc: svc,
 	}
-	st.transmitControl(p, remote, syn)
+	st.nicQ.Put(p, st.controlFrame(remote, syn))
 	if st.cfg.RTO > 0 {
 		for attempt := 0; ; attempt++ {
 			if _, ok := p.WaitTimeout(c.connSig, c.rtoDelay()); ok {
@@ -262,7 +266,7 @@ func (st *Stack) Connect(p *sim.Proc, remote string, svc int) (*Conn, error) {
 			c.retries++ // reuse the RTO backoff schedule for the SYN
 			st.node.Kernel().Trace("ktcp", "syn-retransmit", 0, remote)
 			hpsmon.Count(st.node.Kernel(), "ktcp", "syn.retransmits", 1)
-			st.transmitControl(p, remote, syn)
+			st.nicQ.Put(p, st.controlFrame(remote, syn))
 		}
 		c.retries = 0
 	} else {
@@ -291,22 +295,22 @@ func (st *Stack) newConn() *Conn {
 	c.rcvCond.SetLabel("ktcp/rcv-buf")
 	st.nextConn++
 	st.conns[c.id] = c
-	k.Go(fmt.Sprintf("ktcp-tx/%s/%d", st.node.Name(), c.id), c.txLoop)
+	c.startTx(k)
 	return c
 }
 
-// transmitControl queues a handshake segment to the NIC.
-func (st *Stack) transmitControl(p *sim.Proc, dst string, seg *segment) {
-	st.nicQ.Put(p, st.net.NewFrame(st.node.Name(), dst, netsim.ProtoIP, st.cfg.HeaderSize, seg))
+// controlFrame wraps a segment with no payload (SYN, SYNACK, FIN) for
+// the NIC queue.
+func (st *Stack) controlFrame(dst string, seg *segment) *netsim.Frame {
+	return st.net.NewFrame(st.node.Name(), dst, netsim.ProtoIP, st.cfg.HeaderSize, seg)
 }
 
 // startEgress starts the three stages between softnet or a
 // connection's transmit engine and the wire. They are hardware and
-// bookkeeping — no host CPU charged, no span, no decision on wake
-// (DESIGN.md §14) — so each is a chain of event-context continuations
-// rather than a process: every step books what the blocking call
-// would and runs where that call's wake-up would have fired. The
-// closures are built once here; a frame's passage allocates nothing.
+// bookkeeping, each a chain of event-context continuations (DESIGN.md
+// §14): every step books what the blocking call would and runs where
+// that call's wake-up would have fired. The closures are built once
+// here; a frame's passage allocates nothing.
 func (st *Stack) startEgress(k *sim.Kernel) {
 	// The ack stage drains generated acks into the NIC queue so
 	// softnet itself never blocks on a full one.

@@ -13,6 +13,10 @@ package sim
 // throwaway Signal per broadcast) and reuses the slice's storage
 // across generations: Broadcast on a streaming connection is a
 // per-segment operation and must not allocate.
+//
+// WaitFunc is Wait's event-context twin (see Queue): continuations wait
+// in the same list as processes and Broadcast schedules each in its
+// turn.
 type Cond struct {
 	k       *Kernel
 	label   string
@@ -30,6 +34,12 @@ func (c *Cond) SetLabel(label string) { c.label = label }
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, waiterRef{p: p, gen: p.beginWait()})
 	p.parkOn(c.label)
+}
+
+// WaitFunc is Wait for event context: fn runs as an event at the next
+// Broadcast, at the point where Wait's process would have been woken.
+func (c *Cond) WaitFunc(fn func()) {
+	c.waiters = append(c.waiters, waiterRef{fn: fn})
 }
 
 // WaitTimeout parks p until the next Broadcast or until d elapses; it
@@ -52,6 +62,6 @@ func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = c.waiters[:0]
 	for _, w := range ws {
-		c.k.atWake(c.k.now, w.p, w.gen, nil)
+		c.k.wake(w, nil)
 	}
 }

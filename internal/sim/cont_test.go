@@ -299,24 +299,7 @@ func TestResourceUseOracle(t *testing.T) {
 		for seed := int64(1); seed <= 40; seed++ {
 			proc := resRun(seed, capacity, "procs")
 			for _, form := range []string{"funcs", "mixed"} {
-				fn := resRun(seed, capacity, form)
-				if len(proc.log) != len(fn.log) {
-					t.Fatalf("cap %d seed %d: %d steps as processes, %d %s", capacity, seed, len(proc.log), len(fn.log), form)
-				}
-				for i := range proc.log {
-					if proc.log[i] != fn.log[i] {
-						t.Fatalf("cap %d seed %d step %d: processes %q, %s %q", capacity, seed, i, proc.log[i], form, fn.log[i])
-					}
-				}
-				if proc.fired != fn.fired {
-					t.Errorf("cap %d seed %d: EventsFired %d as processes, %d %s", capacity, seed, proc.fired, fn.fired, form)
-				}
-				if proc.prof.ringHits != fn.prof.ringHits {
-					t.Errorf("cap %d seed %d: %d ring hits as processes, %d %s", capacity, seed, proc.prof.ringHits, fn.prof.ringHits, form)
-				}
-				if proc.prof.parks <= fn.prof.parks {
-					t.Errorf("cap %d seed %d: %d parks as processes, %d %s", capacity, seed, proc.prof.parks, fn.prof.parks, form)
-				}
+				compareForms(t, fmt.Sprintf("resource cap %d", capacity), seed, form, proc, resRun(seed, capacity, form))
 			}
 			for _, line := range proc.log {
 				if strings.Contains(line, "not idle") {
@@ -331,6 +314,261 @@ func TestResourceUseOracle(t *testing.T) {
 	if waits == 0 {
 		t.Fatal("coverage: no user ever waited for the resource")
 	}
+}
+
+// compareForms holds a run with some waiters written as continuations
+// against the same run with all of them processes: same log, events and
+// ring hits, fewer parks.
+func compareForms(t *testing.T, what string, seed int64, form string, proc, fn contResult) {
+	t.Helper()
+	if len(proc.log) != len(fn.log) {
+		t.Fatalf("%s seed %d: %d steps as processes, %d %s", what, seed, len(proc.log), len(fn.log), form)
+	}
+	for i := range proc.log {
+		if proc.log[i] != fn.log[i] {
+			t.Fatalf("%s seed %d step %d: processes %q, %s %q", what, seed, i, proc.log[i], form, fn.log[i])
+		}
+	}
+	if proc.fired != fn.fired || proc.prof.ringHits != fn.prof.ringHits {
+		t.Errorf("%s seed %d: %d events, %d ring hits as processes, %d and %d %s", what, seed,
+			proc.fired, proc.prof.ringHits, fn.fired, fn.prof.ringHits, form)
+	}
+	if proc.prof.parks <= fn.prof.parks {
+		t.Errorf("%s seed %d: %d parks as processes, %d %s", what, seed, proc.prof.parks, fn.prof.parks, form)
+	}
+}
+
+// condRun drives seeded waiters on one Cond, written as processes
+// calling Wait, as continuations calling WaitFunc, or every other one
+// each. Half the time a waiter waits again from inside its own wake-up.
+// A process in WaitTimeout, whose expiry races the broadcasts, waits
+// among them in every form, and the broadcaster sometimes broadcasts a
+// second time in one instant, after the waiters it woke have run.
+func condRun(seed int64, form string) contResult {
+	k := NewKernel()
+	var res contResult
+	k.SetProfiler(&res.prof)
+	rng := rand.New(rand.NewSource(seed))
+	logf := func(format string, args ...any) {
+		res.log = append(res.log, fmt.Sprintf("%d ", int64(k.now))+fmt.Sprintf(format, args...))
+	}
+	c := NewCond(k)
+	const waiters, rounds = 5, 30
+	for id := 0; id < waiters; id++ {
+		id := id
+		if form == "procs" || form == "mixed" && id%2 == 1 {
+			k.Go("waiter", func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					if rng.Intn(2) == 0 {
+						p.Sleep(Time(rng.Intn(6)))
+					}
+					c.Wait(p)
+					logf("waiter %d woke %d", id, r)
+				}
+			})
+			continue
+		}
+		r := 0
+		var next, wait, woke func()
+		next = func() {
+			if rng.Intn(2) == 0 {
+				k.After(Time(rng.Intn(6)), wait)
+			} else {
+				wait()
+			}
+		}
+		wait = func() { c.WaitFunc(woke) }
+		woke = func() {
+			logf("waiter %d woke %d", id, r)
+			if r++; r < rounds {
+				next()
+			}
+		}
+		k.After(0, next)
+	}
+	k.Go("timed", func(p *Proc) {
+		for r := 0; r < 2*rounds; r++ {
+			p.Sleep(Time(rng.Intn(4)))
+			logf("timed waiter %v", c.WaitTimeout(p, Time(1+rng.Intn(5))))
+		}
+	})
+	k.Go("broadcaster", func(p *Proc) {
+		for i := 0; i < 80; i++ {
+			p.Sleep(Time(rng.Intn(8)))
+			c.Broadcast()
+			logf("broadcast")
+			if rng.Intn(3) == 0 {
+				p.Sleep(0)
+				c.Broadcast()
+				logf("broadcast again")
+			}
+		}
+		// Release whoever still waits, so every form ends alike.
+		for i := 0; i < rounds; i++ {
+			p.Sleep(10)
+			c.Broadcast()
+		}
+	})
+	k.RunAll()
+	res.fired = k.EventsFired()
+	return res
+}
+
+// WaitFunc against Wait: the same waiters as processes, as
+// continuations and mixed on one Cond leave the same log and event
+// count, and the continuations do not park. A continuation run inside
+// Broadcast instead of scheduled would log ahead of the broadcaster and
+// fail the comparison.
+func TestCondWaitFuncOracle(t *testing.T) {
+	timeouts, beaten, twice := 0, 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		proc := condRun(seed, "procs")
+		for _, form := range []string{"funcs", "mixed"} {
+			compareForms(t, "cond", seed, form, proc, condRun(seed, form))
+		}
+		lastWoke := map[string]string{} // waiter -> instant of its last wake-up
+		for _, line := range proc.log {
+			at, what, _ := strings.Cut(line, " ")
+			switch {
+			case what == "timed waiter false":
+				timeouts++
+			case what == "timed waiter true":
+				beaten++
+			case strings.HasPrefix(what, "waiter"):
+				who := what[:len("waiter 0")]
+				if lastWoke[who] == at {
+					twice++
+				}
+				lastWoke[who] = at
+			}
+		}
+	}
+	// The workload must reach the cases the oracle exists for.
+	if timeouts == 0 || beaten == 0 || twice == 0 {
+		t.Fatalf("coverage: %d expired timed waits, %d beaten by a broadcast, %d waiters woken twice in one instant",
+			timeouts, beaten, twice)
+	}
+}
+
+// signalRun is condRun for one-shot signals: a chain of them, each
+// fired once, two of them in one instant now and then; every waiter
+// waits for each in turn, sometimes at once from inside its wake-up and
+// sometimes after a sleep that lets the signal fire first.
+func signalRun(seed int64, form string) contResult {
+	k := NewKernel()
+	var res contResult
+	k.SetProfiler(&res.prof)
+	rng := rand.New(rand.NewSource(seed))
+	logf := func(format string, args ...any) {
+		res.log = append(res.log, fmt.Sprintf("%d ", int64(k.now))+fmt.Sprintf(format, args...))
+	}
+	const waiters, chain = 5, 30
+	var sigs [chain]*Signal
+	for i := range sigs {
+		sigs[i] = NewSignal(k)
+	}
+	for id := 0; id < waiters; id++ {
+		id := id
+		if form == "procs" || form == "mixed" && id%2 == 1 {
+			k.Go("waiter", func(p *Proc) {
+				for j, s := range sigs {
+					if rng.Intn(2) == 0 {
+						p.Sleep(Time(rng.Intn(12)))
+					}
+					late := s.Fired()
+					logf("waiter %d signal %d late %v value %v", id, j, late, p.Wait(s))
+				}
+			})
+			continue
+		}
+		j, late := 0, false
+		var next, wait, woke func()
+		next = func() {
+			if rng.Intn(2) == 0 {
+				k.After(Time(rng.Intn(12)), wait)
+			} else {
+				wait()
+			}
+		}
+		wait = func() {
+			late = sigs[j].Fired()
+			sigs[j].WaitFunc(woke)
+		}
+		woke = func() {
+			logf("waiter %d signal %d late %v value %v", id, j, late, sigs[j].Value())
+			if j++; j < chain {
+				next()
+			}
+		}
+		k.After(0, next)
+	}
+	k.Go("timed", func(p *Proc) {
+		for j, s := range sigs {
+			v, ok := p.WaitTimeout(s, Time(1+rng.Intn(8)))
+			logf("timed waiter signal %d: %v %v", j, v, ok)
+			if !ok {
+				p.Wait(s)
+			}
+		}
+	})
+	k.Go("firer", func(p *Proc) {
+		for j := 0; j < chain; j++ {
+			p.Sleep(Time(rng.Intn(8)))
+			sigs[j].Fire(j)
+			logf("fired %d", j)
+			if j+1 < chain && rng.Intn(3) == 0 {
+				p.Sleep(0)
+				j++
+				sigs[j].Fire(j)
+				logf("fired %d too", j)
+			}
+		}
+	})
+	k.RunAll()
+	res.fired = k.EventsFired()
+	return res
+}
+
+func TestSignalWaitFuncOracle(t *testing.T) {
+	timeouts, beaten, late, pairs := 0, 0, 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		proc := signalRun(seed, "procs")
+		for _, form := range []string{"funcs", "mixed"} {
+			compareForms(t, "signal", seed, form, proc, signalRun(seed, form))
+		}
+		for _, line := range proc.log {
+			switch {
+			case strings.HasSuffix(line, "<nil> false"):
+				timeouts++
+			case strings.Contains(line, "timed waiter"):
+				beaten++
+			case strings.Contains(line, "late true"):
+				late++
+			case strings.HasSuffix(line, "too"):
+				pairs++
+			}
+		}
+	}
+	if timeouts == 0 || beaten == 0 || late == 0 || pairs == 0 {
+		t.Fatalf("coverage: %d expired timed waits, %d beaten by a fire, %d waits on a fired signal, %d signals fired in one instant with another",
+			timeouts, beaten, late, pairs)
+	}
+}
+
+// An identity is a name for telemetry, not a thread: handing one to a
+// blocking call is a bug in the stage that owns it, reported as such
+// instead of as a goroutine blocked for good on a nil channel.
+func TestIdentityCannotBlock(t *testing.T) {
+	k := NewKernel()
+	ident, c := k.Identity("nic-engine"), NewCond(k)
+	k.After(5, func() { c.Wait(ident) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `identity "nic-engine" cannot block`) {
+			t.Fatalf("recovered %v", r)
+		}
+	}()
+	k.RunAll()
+	t.Fatal("an identity parked")
 }
 
 // A continuation parked on a queue that closes runs with ok false, as
@@ -429,6 +667,34 @@ func TestPrimitivesDoNotAllocate(t *testing.T) {
 			}
 		})
 	}
+	t.Run("Cond.WaitFunc and Broadcast", func(t *testing.T) {
+		k := NewKernel()
+		c := NewCond(k)
+		for i := 0; i < 3; i++ {
+			var again func()
+			again = func() { c.WaitFunc(again) }
+			again()
+		}
+		k.Go("broadcaster", func(p *Proc) {
+			for {
+				p.Sleep(1)
+				c.Broadcast()
+			}
+		})
+		k.Run(100)
+		if n := testing.AllocsPerRun(100, func() { k.Run(k.Now() + 10) }); n != 0 {
+			t.Fatalf("%v allocs per 10 broadcasts to 3 continuations", n)
+		}
+	})
+	t.Run("Signal.WaitFunc on a fired signal", func(t *testing.T) {
+		s := NewSignal(NewKernel())
+		s.Fire(nil)
+		ran := 0
+		fn := func() { ran++ }
+		if n := testing.AllocsPerRun(100, func() { s.WaitFunc(fn) }); n != 0 || ran == 0 {
+			t.Fatalf("%v allocs per wait, continuation ran %d times", n, ran)
+		}
+	})
 	t.Run("contended Resource.Use", func(t *testing.T) {
 		k := NewKernel()
 		r := NewResource(k, 1)

@@ -218,7 +218,10 @@ func (k *Kernel) Stop() { k.stopped = true }
 // which it stopped. Processes still blocked when Run returns stay
 // parked, and a later Run resumes them when their wake-up fires; those
 // never woken are never freed either: their goroutines, and all they
-// reach, live until the Go process exits.
+// reach, live until the Go process exits. Only the application's
+// threads are processes, though: a stage that waits as a continuation
+// (the adapters, a kernel TCP stack and its connections) has no
+// goroutine, and one that never runs is garbage once its kernel is.
 //
 // Run starts the event loop on the caller's goroutine and then waits
 // for the baton to come home (see drive). It must not be called from

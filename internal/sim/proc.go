@@ -70,8 +70,8 @@ func (k *Kernel) GoAfter(d Time, name string, fn func(p *Proc)) *Proc {
 }
 
 // Identity returns a process that is a name and a spawn id and nothing
-// more: no goroutine, never dispatched, not counted as spawned, and it
-// must not be handed to a blocking call. A hardware stage that runs as
+// more: no goroutine, never dispatched, not counted as spawned, and
+// handing it to a blocking call panics. A stage that runs as
 // continuations keeps one so that its telemetry spans stay on a thread
 // of their own (ID, Name, MonSpan), the thread the process it replaced
 // gave them: the id is the one Go would have claimed in its place.
@@ -86,6 +86,9 @@ func (k *Kernel) Identity(name string) *Proc {
 // loop itself; it blocks on resume only once the baton has gone to
 // another process or home.
 func (p *Proc) park() any {
+	if p.resume == nil {
+		panic(fmt.Sprintf("sim: identity %q cannot block", p.name))
+	}
 	p.parked = true
 	v, woke := p.k.drive(p)
 	if !woke {

@@ -1,19 +1,33 @@
 package sim
 
-// waiterRef records a parked process waiting on a signal or condition,
-// pinned to the wait generation it parked under. A ref whose
-// generation no longer matches the proc's current one (the wait was
-// abandoned — typically by a timed-wait expiry) is skipped at fire
-// time.
+// waiterRef records a waiter on a signal or condition: a parked
+// process, pinned to the wait generation it parked under, or the
+// continuation a WaitFunc left behind. A ref whose generation no longer
+// matches the proc's current one (the wait was abandoned — typically by
+// a timed-wait expiry) is skipped at fire time.
 type waiterRef struct {
 	p   *Proc
 	gen uint64
+	fn  func()
+}
+
+// wake schedules the resumption of w at the current instant: a
+// process's conditional wake-up carrying v, or a continuation as a
+// plain event in the same (time, seq) position.
+func (k *Kernel) wake(w waiterRef, v any) {
+	if w.p != nil {
+		k.atWake(k.now, w.p, w.gen, v)
+	} else {
+		k.At(k.now, w.fn)
+	}
 }
 
 // Signal is a one-shot broadcast event. Processes Wait on it; Fire
 // wakes all current and future waiters with the fired value. The
 // kernel wakes waiters via zero-delay events so firing is safe from
-// both process and event context.
+// both process and event context. WaitFunc is Wait's event-context
+// twin (see Queue): continuations wait in the same list as processes
+// and Fire schedules each in its turn.
 type Signal struct {
 	k       *Kernel
 	label   string
@@ -46,8 +60,20 @@ func (s *Signal) Fire(v any) {
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		s.k.atWake(s.k.now, w.p, w.gen, v)
+		s.k.wake(w, v)
 	}
+}
+
+// WaitFunc is Proc.Wait for event context: fn runs at once if the
+// signal has fired, as Wait returns at once, and otherwise as an event
+// at the point where Fire would have woken Wait's process. The fired
+// value is the signal's Value.
+func (s *Signal) WaitFunc(fn func()) {
+	if s.fired {
+		fn()
+		return
+	}
+	s.waiters = append(s.waiters, waiterRef{fn: fn})
 }
 
 // Barrier counts down from n and fires an underlying signal when all
