@@ -8,13 +8,14 @@ import (
 	"os"
 )
 
-// compareOpts holds the noise thresholds of one comparison. Timed
-// quantities (ns/op, figure seconds) swing with machine load and are
-// normalized by the sanity-anchor ratio before the threshold applies;
-// allocation and byte counts are near-exact per op; profile counters
+// compareOpts holds the noise thresholds of one comparison.
+// Allocation and byte counts are near-exact per op; profile counters
 // are exact virtual-time quantities and tolerate no drift at all.
+// Timed quantities (ns/op, figure seconds) swing with machine load by
+// more than any threshold worth having, even scaled by the sanity
+// anchor, so they are printed as notes and never gated: timed claims
+// go through benchmark/run.sh, which pairs runs.
 type compareOpts struct {
-	time   float64 // relative threshold for anchor-normalized timings
 	allocs float64 // relative threshold for allocs/op
 	bytes  float64 // relative threshold for B/op
 }
@@ -27,8 +28,6 @@ type compareOpts struct {
 func runCompare(args []string) int {
 	fs := flag.NewFlagSet("bench compare", flag.ExitOnError)
 	opts := compareOpts{}
-	fs.Float64Var(&opts.time, "time", 0.30,
-		"relative regression threshold for anchor-normalized timed sections")
 	fs.Float64Var(&opts.allocs, "allocs", 0.01,
 		"relative regression threshold for allocs/op")
 	fs.Float64Var(&opts.bytes, "bytes", 0.05,
@@ -75,54 +74,41 @@ type comparison struct {
 	out         *os.File
 	checks      int
 	regressions int
-	// speed is the machine-speed ratio new/old from the sanity
-	// anchors: >1 means the new machine ran the fixed anchor workload
-	// slower, and timed sections are scaled down accordingly.
-	speed float64
 }
 
-// check records one compared quantity. Timed quantities pass
-// normalize=true to divide the new value by the anchor speed ratio
-// before the threshold applies.
-func (c *comparison) check(name string, oldV, newV, threshold float64, normalize bool) {
+// check records one compared quantity.
+func (c *comparison) check(name string, oldV, newV, threshold float64) {
 	c.checks++
-	adj := newV
-	note := ""
-	if normalize && c.speed > 0 && c.speed != 1 {
-		adj = newV / c.speed
-		note = fmt.Sprintf(" [anchor-normalized %.4g]", adj)
-	}
 	var rel float64
 	switch {
-	case oldV == 0 && adj == 0:
+	case oldV == 0 && newV == 0:
 		rel = 0
 	case oldV == 0:
 		rel = math.Inf(1)
 	default:
-		rel = adj/oldV - 1
+		rel = newV/oldV - 1
 	}
 	verdict := "ok        "
 	if rel > threshold {
 		verdict = "REGRESSION"
 		c.regressions++
 	}
-	fmt.Fprintf(c.out, "%s %-44s %14.6g -> %-14.6g %+7.2f%% (limit %+.2f%%)%s\n",
-		verdict, name, oldV, newV, 100*rel, 100*threshold, note)
+	fmt.Fprintf(c.out, "%s %-44s %14.6g -> %-14.6g %+7.2f%% (limit %+.2f%%)\n",
+		verdict, name, oldV, newV, 100*rel, 100*threshold)
 }
 
 func (c *comparison) note(format string, args ...any) {
 	fmt.Fprintf(c.out, "note       "+format+"\n", args...)
 }
 
+// timed prints a timed quantity, which is not gated (see compareOpts).
+func (c *comparison) timed(name string, oldV, newV float64) {
+	c.note("%-44s %14.6g -> %-14.6g (timed)", name, oldV, newV)
+}
+
 func (c *comparison) run(oldSnap, newSnap *Snapshot) {
-	c.speed = 1
-	if oldSnap.Anchor != nil && newSnap.Anchor != nil &&
-		oldSnap.Anchor.Seconds > 0 && oldSnap.Anchor.Events == newSnap.Anchor.Events {
-		c.speed = newSnap.Anchor.Seconds / oldSnap.Anchor.Seconds
-		fmt.Fprintf(c.out, "anchor: %.2f -> %.2f Mevents/s (machine speed ratio %.3f; timed limits scale)\n",
-			oldSnap.Anchor.MeventsPS, newSnap.Anchor.MeventsPS, c.speed)
-	} else {
-		c.note("no comparable sanity anchor; timed sections compared raw")
+	if oldSnap.Anchor != nil && newSnap.Anchor != nil {
+		c.timed("anchor Mevents/s", oldSnap.Anchor.MeventsPS, newSnap.Anchor.MeventsPS)
 	}
 
 	newBench := make(map[string]Result, len(newSnap.Benchmarks))
@@ -135,9 +121,9 @@ func (c *comparison) run(oldSnap, newSnap *Snapshot) {
 			c.note("benchmark %s missing from new snapshot", o.Name)
 			continue
 		}
-		c.check("bench/"+o.Name+" ns/op", float64(o.NsPerOp), float64(n.NsPerOp), c.opts.time, true)
-		c.check("bench/"+o.Name+" B/op", float64(o.BytesPerOp), float64(n.BytesPerOp), c.opts.bytes, false)
-		c.check("bench/"+o.Name+" allocs/op", float64(o.AllocsPerOp), float64(n.AllocsPerOp), c.opts.allocs, false)
+		c.timed("bench/"+o.Name+" ns/op", float64(o.NsPerOp), float64(n.NsPerOp))
+		c.check("bench/"+o.Name+" B/op", float64(o.BytesPerOp), float64(n.BytesPerOp), c.opts.bytes)
+		c.check("bench/"+o.Name+" allocs/op", float64(o.AllocsPerOp), float64(n.AllocsPerOp), c.opts.allocs)
 	}
 
 	newFig := make(map[int]FigureRun, len(newSnap.Figures))
@@ -150,13 +136,12 @@ func (c *comparison) run(oldSnap, newSnap *Snapshot) {
 			c.note("figures_quick workers=%d missing from new snapshot", o.Workers)
 			continue
 		}
-		c.check(fmt.Sprintf("figures_quick/workers=%d seconds", o.Workers),
-			o.Seconds, n.Seconds, c.opts.time, true)
+		c.timed(fmt.Sprintf("figures_quick/workers=%d seconds", o.Workers), o.Seconds, n.Seconds)
 	}
 
 	if oldSnap.Hpslint != nil && newSnap.Hpslint != nil {
 		c.check("hpslint findings",
-			float64(oldSnap.Hpslint.Findings), float64(newSnap.Hpslint.Findings), 0, false)
+			float64(oldSnap.Hpslint.Findings), float64(newSnap.Hpslint.Findings), 0)
 	}
 
 	newProf := make(map[string]ProfileRecord, len(newSnap.Profile))
@@ -173,10 +158,10 @@ func (c *comparison) run(oldSnap, newSnap *Snapshot) {
 		// increase in scheduler traffic is a regression (threshold 0);
 		// decreases are the improvements the continuation-passing work
 		// is after.
-		c.check("profile/"+o.Workload+" parks", float64(o.Parks), float64(n.Parks), 0, false)
-		c.check("profile/"+o.Workload+" same-instant", float64(o.SameInstant), float64(n.SameInstant), 0, false)
-		c.check("profile/"+o.Workload+" handoffs", float64(o.Handoffs), float64(n.Handoffs), 0, false)
-		c.check("profile/"+o.Workload+" ring-hits", float64(o.RingHits), float64(n.RingHits), 0, false)
+		c.check("profile/"+o.Workload+" parks", float64(o.Parks), float64(n.Parks), 0)
+		c.check("profile/"+o.Workload+" same-instant", float64(o.SameInstant), float64(n.SameInstant), 0)
+		c.check("profile/"+o.Workload+" handoffs", float64(o.Handoffs), float64(n.Handoffs), 0)
+		c.check("profile/"+o.Workload+" ring-hits", float64(o.RingHits), float64(n.RingHits), 0)
 		newEdges := make(map[string]ProfileEdge, len(n.Edges))
 		for _, e := range n.Edges {
 			newEdges[e.Edge] = e

@@ -58,7 +58,7 @@ type Buffer struct {
 	// src identifies the connection the buffer arrived on so that the
 	// demand-driven ack can be routed back; it is nil on the producer
 	// side.
-	src *streamConn
+	src *inbound
 
 	// seq is the writer-assigned delivery sequence number on
 	// exactly-once streams (assigned once, at first send, and preserved

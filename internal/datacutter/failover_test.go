@@ -1,6 +1,7 @@
 package datacutter
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestFailoverToSurvivingCopy(t *testing.T) {
 		}},
 	})
 	// The crashed copy never finishes, so the group's done signal
-	// cannot fire; run the event heap dry instead of WaitDone.
+	// cannot fire; run the event heap dry instead of waiting on Done().
 	g.Start(2)
 	r.k.RunAll()
 	if err := g.Err(); err != nil {
@@ -164,7 +165,7 @@ func TestRedialReArmsOpTimeout(t *testing.T) {
 		}},
 	})
 	// The crashed copy never finishes, so the done signal cannot fire;
-	// run the event heap dry instead of WaitDone.
+	// run the event heap dry instead of waiting on Done().
 	g.Start(1)
 	end := r.k.RunAll()
 	if err := g.Err(); err != nil {
@@ -184,5 +185,100 @@ func TestRedialReArmsOpTimeout(t *testing.T) {
 	// bound; with it, failover completes promptly.
 	if limit := 1 * sim.Second; end > limit {
 		t.Fatalf("run ended at %v, want well under %v", end, limit)
+	}
+}
+
+// TestWriteToFailedTargetBooksNothing: WriteTo has no failover, so a
+// copy its ack reader has already failed over must refuse the buffer
+// before anything is booked — no send counted, no credit taken, no
+// in-flight entry on a connection nobody will reclaim it from — and the
+// buffers that were in flight when the copy died are still accounted
+// for, re-dispatched by EndOfWork or reported to OnShed.
+func TestWriteToFailedTargetBooksNothing(t *testing.T) {
+	r := newFaultRig(3, core.KindTCP, fault.Plan{
+		Seed:    7,
+		Crashes: []fault.NodeCrash{{Node: "n2", At: 1700 * sim.Microsecond}},
+	})
+	const window = 4
+	var refused error
+	var sentBefore, sentAfter []uint64
+	var creditsBefore, creditsAfter int
+	var deadAfter bool
+	accounted := map[int64]int{}
+	produced := 0
+	src := func(int) Filter {
+		return &funcFilter{process: func(ctx *Context) error {
+			out, p := ctx.Output("s"), ctx.Proc()
+			// Alternate between the copies until copy 1, which dies with a
+			// buffer unacknowledged, is failed over by its ack reader's
+			// timeout; copy 0 stays busy, so its connection stays healthy.
+			for i := 0; i < 40; i++ {
+				target := i % 2
+				if _, dead := out.CreditState(1); dead {
+					break
+				} else if i >= 6 {
+					target = 0
+				}
+				produced++
+				if err := out.WriteTo(p, target, &Buffer{Size: 8 * 1024, Tag: int64(i)}); err != nil {
+					return err
+				}
+				p.Sleep(300 * sim.Microsecond)
+			}
+			sentBefore = out.Sent()
+			creditsBefore, _ = out.CreditState(1)
+			refused = out.WriteTo(p, 1, &Buffer{Size: 8 * 1024, Tag: 99})
+			sentAfter = out.Sent()
+			creditsAfter, deadAfter = out.CreditState(1)
+			return out.EndOfWork(p)
+		}}
+	}
+	sink := func(int) Filter {
+		return &funcFilter{process: func(ctx *Context) error {
+			for {
+				if _, ok := ctx.Input("s").Read(ctx.Proc()); !ok {
+					return nil
+				}
+				// Slow enough that copy 1 dies with a buffer unacknowledged.
+				ctx.Compute(800 * sim.Microsecond)
+			}
+		}}
+	}
+	g := r.rt.Instantiate(GroupSpec{
+		Filters: []FilterSpec{
+			{Name: "src", New: src, Placement: []string{"n0"}},
+			{Name: "dst", New: sink, Placement: []string{"n1", "n2"}},
+		},
+		Streams: []StreamSpec{{
+			Name: "s", From: "src", To: "dst",
+			Acks: true, CreditWindow: window, OpTimeout: 1 * sim.Millisecond,
+			OnShed:    func(b *Buffer, c ShedCause) { accounted[b.Tag]++ },
+			OnDeliver: func(b *Buffer) { accounted[b.Tag]++ },
+		}},
+	})
+	g.Start(1)
+	r.k.RunAll()
+	if err := g.Err(); err != nil {
+		t.Fatalf("group error: %v", err)
+	}
+	if !errors.Is(refused, core.ErrConnClosed) {
+		t.Fatalf("WriteTo to a failed copy returned %v, want core.ErrConnClosed", refused)
+	}
+	if !deadAfter {
+		t.Fatal("copy 1 still live: the ack reader never failed it over (test exercises nothing)")
+	}
+	if fmt.Sprint(sentAfter) != fmt.Sprint(sentBefore) {
+		t.Fatalf("Sent() moved from %v to %v for a buffer that was not sent", sentBefore, sentAfter)
+	}
+	if creditsAfter != creditsBefore {
+		t.Fatalf("the refused buffer took a credit: %d -> %d", creditsBefore, creditsAfter)
+	}
+	for tag := int64(0); tag < int64(produced); tag++ {
+		if accounted[tag] == 0 {
+			t.Fatalf("buffer %d was neither delivered nor reported to OnShed", tag)
+		}
+	}
+	if accounted[99] != 0 {
+		t.Fatal("the refused buffer was delivered or shed")
 	}
 }

@@ -26,7 +26,9 @@ func TestCreditWindowConservation(t *testing.T) {
 				}
 				// Quiesce before end-of-work so the ledger is checkable:
 				// all credits home means no buffer in flight or parked.
-				out.WaitCreditsIdle(ctx.Proc())
+				if err := out.WaitQuiesce(ctx.Proc()); err != nil {
+					return err
+				}
 				return out.EndOfWork(ctx.Proc())
 			}}
 		}
@@ -284,4 +286,62 @@ func TestDropOldestEvictsFromFullInbox(t *testing.T) {
 	if last != total-1 {
 		t.Fatalf("newest buffer (tag %d) was evicted; last delivered tag %d", total-1, last)
 	}
+}
+
+// TestIdleCreditStreamOutlivesOpTimeout: on a stream with credits but
+// no acks, a connection whose credits are all home owes the writer
+// nothing, however many buffers it has carried; its ack reader's op
+// timeout is then idleness, not a stall, and must not fail the copy.
+// Empty units of work keep the forward path busy (their markers take no
+// credit and draw no reply) while the reverse path stays silent for
+// several timeouts.
+func TestIdleCreditStreamOutlivesOpTimeout(t *testing.T) {
+	kinds(t, func(t *testing.T, kind core.Kind) {
+		r := newRig(2, kind)
+		const per, uows, window = 3, 12, 2
+		busy := func(uow int) bool { return uow == 0 || uow == uows-1 }
+		src := func(int) Filter {
+			return &funcFilter{process: func(ctx *Context) error {
+				out, p := ctx.Output("s"), ctx.Proc()
+				for i := 0; busy(ctx.UOW()) && i < per; i++ {
+					if err := out.Write(p, &Buffer{Size: 8 * 1024, Tag: int64(i)}); err != nil {
+						return err
+					}
+				}
+				if err := out.WaitQuiesce(p); err != nil {
+					return err
+				}
+				p.Sleep(400 * sim.Microsecond)
+				if credits, dead := out.CreditState(0); dead || credits != window {
+					t.Errorf("uow %d: credit state (%d, dead=%v), want (%d, live)", ctx.UOW(), credits, dead, window)
+				}
+				return out.EndOfWork(p)
+			}}
+		}
+		got := 0
+		sink := func(int) Filter {
+			return &funcFilter{process: func(ctx *Context) error {
+				for {
+					if _, ok := ctx.Input("s").Read(ctx.Proc()); !ok {
+						return nil
+					}
+					got++
+				}
+			}}
+		}
+		g := r.rt.Instantiate(GroupSpec{
+			Filters: []FilterSpec{
+				{Name: "src", New: src, Placement: []string{"n0"}},
+				{Name: "dst", New: sink, Placement: []string{"n1"}},
+			},
+			Streams: []StreamSpec{{
+				Name: "s", From: "src", To: "dst",
+				CreditWindow: window, OpTimeout: sim.Millisecond,
+			}},
+		})
+		r.run(t, g, uows)
+		if got != 2*per {
+			t.Fatalf("delivered %d buffers, want %d", got, 2*per)
+		}
+	})
 }

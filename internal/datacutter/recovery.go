@@ -38,29 +38,6 @@ type checkpoint struct {
 	next int
 }
 
-// dedupLedger is the exactly-once delivery ledger of one logical
-// stream, shared across every consumer copy — failover re-dispatch
-// crosses copies, so a per-copy ledger could not suppress a buffer
-// re-dispatched from a dead copy to a survivor. Sequence numbers are
-// writer-assigned, start at 1 and are unique per buffer, so membership
-// is exactly "this buffer was already delivered".
-type dedupLedger struct {
-	seen map[uint64]struct{}
-}
-
-func newDedupLedger() *dedupLedger {
-	return &dedupLedger{seen: make(map[uint64]struct{})}
-}
-
-// delivered reports whether the sequence was already delivered.
-func (l *dedupLedger) delivered(seq uint64) bool {
-	_, ok := l.seen[seq]
-	return ok
-}
-
-// record marks the sequence delivered.
-func (l *dedupLedger) record(seq uint64) { l.seen[seq] = struct{}{} }
-
 // rejoinGrace bounds how long a restarted incarnation waits for its
 // producers to rejoin before completing vacuously. It must comfortably
 // exceed the worst-case redial backoff (8 attempts capped at 50ms) so
@@ -70,67 +47,50 @@ func (l *dedupLedger) record(seq uint64) { l.seen[seq] = struct{}{} }
 const rejoinGrace = 200 * sim.Millisecond
 
 // resetForRejoin re-homes the reader for a new incarnation of a
-// restarted copy: a fresh inbox (the old one is closed, so stale
-// connections' puts are swallowed and a parked zombie getter wakes to
-// find its incarnation superseded), volatile state dropped — a real
-// restart loses its memory; in-flight work is re-accounted by the
-// producers' failover path — and the unit-of-work cursor rewound to
-// the checkpoint. expected producers are awaited for rejoin markers
+// restarted copy: a fresh incarnation (the old one's inbox is closed,
+// so stale connections' puts are swallowed and a parked zombie getter
+// wakes to find its incarnation superseded), volatile state dropped —
+// a real restart loses its memory; in-flight work is re-accounted by
+// the producers' failover path — and the unit-of-work cursor rewound
+// to the checkpoint. expected producers are awaited for rejoin markers
 // under the grace deadline; note fires at the incarnation's first
 // delivery (the copy's recovery instant). Runs in kernel-callback
 // context: nothing here blocks.
-func (r *StreamReader) resetForRejoin(k *sim.Kernel, fc *filterCopy, from, expected int, note func()) {
-	old := r.inbox
-	r.inbox = sim.NewQueue[inboxItem](k, r.depth)
-	r.inbox.SetLabel("datacutter/inbox")
-	old.Close()
-	r.nconns = 0
+func (r *StreamReader) resetForRejoin(k *sim.Kernel, from, expected int, note func()) {
+	old := r.incarnation
+	r.incarnation = newIncarnation(k, r.depth, 0, from)
+	old.inbox.Close()
+	old.graceTimer.Stop()
+	if n := len(old.stash); n > 0 {
+		k.Trace("datacutter", "restart-stash-drop", int64(n), r.spec.Name)
+	}
 	r.awaitRejoin = expected
-	r.eowSeen = make(map[int]int)
-	if n := len(r.stash); n > 0 {
-		k.Trace("datacutter", "restart-stash-drop", int64(n), r.name)
-		r.stash = nil
-	}
-	r.uow = from
-	r.resyncTo = from
 	r.recoverNote = note
-	if r.graceArmed {
-		r.graceTimer.Stop()
-		r.graceArmed = false
-	}
 	if expected > 0 {
-		r.armGrace(k, fc)
+		r.armGrace(k)
 	}
 }
 
-// armGrace schedules the rejoin grace deadline for the current
-// incarnation. When it fires with rejoins still outstanding and no
-// live connection, it closes the inbox: the parked reader wakes and
-// the incarnation completes vacuously — delivery shrinks, liveness
-// holds, and the producer side's op timeout reclaims anything a late
-// rejoin would have parked. With live connections still feeding the
-// reader it re-arms: the stragglers' lost markers will eventually
-// bring nconns to zero, and the next firing decides.
-func (r *StreamReader) armGrace(k *sim.Kernel, fc *filterCopy) {
-	r.graceArmed = true
-	epoch := fc.epoch
-	r.graceTimer = k.At(k.Now()+rejoinGrace, func() {
-		if !r.graceArmed || fc.epoch != epoch || fc.done {
-			r.graceArmed = false
+// armGrace schedules the rejoin grace deadline of the current
+// incarnation; noteRejoin stops it when the last awaited producer is
+// back, resetForRejoin and finishCopy when the incarnation ends. When
+// it fires — rejoins still outstanding — with no live connection, it
+// closes the inbox: the parked reader wakes and the incarnation
+// completes vacuously — delivery shrinks, liveness holds, and the
+// producer side's op timeout reclaims anything a late rejoin would
+// have parked. With live connections still feeding the reader it
+// re-arms: the stragglers' lost markers will eventually bring nconns
+// to zero, and the next firing decides.
+func (r *StreamReader) armGrace(k *sim.Kernel) {
+	inc := r.incarnation
+	inc.graceTimer = k.At(k.Now()+rejoinGrace, func() {
+		if inc.nconns > 0 {
+			r.armGrace(k)
 			return
 		}
-		if r.awaitRejoin > 0 && r.nconns <= 0 {
-			r.graceArmed = false
-			k.Trace("datacutter", "rejoin-timeout", int64(r.awaitRejoin), r.name)
-			hpsmon.Count(k, "datacutter", "rejoin.timeouts", 1)
-			r.awaitRejoin = 0
-			r.inbox.Close()
-			return
-		}
-		if r.awaitRejoin > 0 {
-			r.armGrace(k, fc)
-			return
-		}
-		r.graceArmed = false
+		k.Trace("datacutter", "rejoin-timeout", int64(inc.awaitRejoin), r.spec.Name)
+		hpsmon.Count(k, "datacutter", "rejoin.timeouts", 1)
+		inc.awaitRejoin = 0
+		inc.inbox.Close()
 	})
 }

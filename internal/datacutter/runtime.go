@@ -22,9 +22,6 @@ func NewRuntime(cl *cluster.Cluster, fab *core.Fabric) *Runtime {
 	return &Runtime{cl: cl, fab: fab, nextSvc: 1000}
 }
 
-// Fabric reports the transport fabric in use.
-func (rt *Runtime) Fabric() *core.Fabric { return rt.fab }
-
 // filterCopy is one transparent copy of a filter.
 type filterCopy struct {
 	spec    FilterSpec
@@ -35,19 +32,18 @@ type filterCopy struct {
 	outputs map[string]*StreamWriter
 
 	// Crash-restart recovery state (armed by spec.CheckpointEvery > 0).
-	// epoch counts incarnations: the driver abandons a unit of work when
-	// its captured epoch no longer matches (a restart superseded it).
+	// epoch counts incarnations beyond the first: the driver abandons a
+	// unit of work when its captured epoch no longer matches (a restart
+	// superseded it).
 	epoch int
 	// done marks the copy finished for group accounting; a restart hook
 	// firing after completion is a no-op.
 	done bool
 	// ckpt is the copy's durable progress watermark.
 	ckpt checkpoint
-	// restarts counts incarnations beyond the first; restartedAt and
-	// recoveredAt bracket the most recent outage for MTTR reporting
-	// (recoveredAt is the new incarnation's first delivery, or its
-	// completion when it finished vacuously).
-	restarts    int
+	// restartedAt and recoveredAt bracket the most recent outage for
+	// MTTR reporting (recoveredAt is the new incarnation's first
+	// delivery, or its completion when it finished vacuously).
 	restartedAt sim.Time
 	recoveredAt sim.Time
 }
@@ -111,21 +107,6 @@ func (rt *Runtime) Instantiate(spec GroupSpec) *Group {
 	}
 	g.doneLeft = len(g.copies)
 
-	// Recovery arming is only coherent when every input stream can be
-	// re-established: a restarted copy's producers come back through the
-	// redial path, so CheckpointEvery without RedialAttempts would strand
-	// the new incarnation with no way to be fed.
-	for _, fs := range spec.Filters {
-		if fs.CheckpointEvery <= 0 {
-			continue
-		}
-		for _, ss := range spec.Streams {
-			if ss.To == fs.Name && ss.RedialAttempts <= 0 {
-				panic(fmt.Sprintf("datacutter: filter %s arms CheckpointEvery but input stream %s has no RedialAttempts", fs.Name, ss.Name))
-			}
-		}
-	}
-
 	// Count connection-setup arrivals: one per side per connection.
 	totalConns := 0
 	for _, ss := range spec.Streams {
@@ -157,37 +138,33 @@ func (g *Group) wireStream(ss StreamSpec) {
 	if len(prods) == 0 || len(conss) == 0 {
 		panic(fmt.Sprintf("datacutter: stream %s references unknown filters %s -> %s", ss.Name, ss.From, ss.To))
 	}
-
-	needsReverse := ss.Policy == DemandDriven || ss.Acks || ss.CreditWindow > 0
+	// Recovery arming is only coherent when every input stream can be
+	// re-established: a restarted copy's producers come back through the
+	// redial path, so CheckpointEvery without RedialAttempts would strand
+	// the new incarnation with no way to be fed.
+	if conss[0].recoverable() && ss.RedialAttempts <= 0 {
+		panic(fmt.Sprintf("datacutter: filter %s arms CheckpointEvery but input stream %s has no RedialAttempts", ss.To, ss.Name))
+	}
 
 	// Exactly-once state is per logical stream, shared across copies:
 	// one sequence source for every producer copy (uniqueness across the
 	// stream) and one delivery ledger for every consumer copy (failover
 	// re-dispatch crosses copies).
-	var ledger *dedupLedger
+	var ledger map[uint64]struct{}
 	var seqSrc *uint64
 	if ss.ExactlyOnce {
-		ledger = newDedupLedger()
+		ledger = make(map[uint64]struct{})
 		seqSrc = new(uint64)
 	}
 
 	writers := make([]*StreamWriter, len(prods))
 	for i, pc := range prods {
 		w := &StreamWriter{
-			name: ss.Name, policy: ss.Policy,
-			targets:      make([]*streamConn, len(conss)),
-			maxUnacked:   ss.MaxUnacked,
-			ackCond:      sim.NewCond(k),
-			redispatch:   ss.Policy == DemandDriven || ss.Acks,
-			creditWindow: ss.CreditWindow,
-			deadlines:    ss.Deadlines,
-			shed:         ss.Shed,
-			onShed:       ss.OnShed,
-			opTimeout:    ss.OpTimeout,
-			needsReverse: needsReverse,
-			ep:           rt.fab.Endpoint(pc.node.Name()),
-			exactlyOnce:  ss.ExactlyOnce,
-			seqSrc:       seqSrc,
+			spec:    ss,
+			targets: make([]*target, len(conss)),
+			ackCond: sim.NewCond(k),
+			ep:      rt.fab.Endpoint(pc.node.Name()),
+			seqSrc:  seqSrc,
 		}
 		w.ackCond.SetLabel("datacutter/ack-credit")
 		if ss.RedialAttempts > 0 {
@@ -203,24 +180,11 @@ func (g *Group) wireStream(ss StreamSpec) {
 
 	for j, cc := range conss {
 		r := &StreamReader{
-			name:         ss.Name,
-			policy:       ss.Policy,
-			acks:         ss.Acks,
-			inbox:        sim.NewQueue[inboxItem](k, cc.spec.InboxDepth),
-			nconns:       len(prods),
-			eowSeen:      make(map[int]int),
-			creditWindow: ss.CreditWindow,
-			deadlines:    ss.Deadlines,
-			shedPolicy:   ss.Shed,
-			onShed:       ss.OnShed,
-			onDeliver:    ss.OnDeliver,
-			redial:       ss.RedialAttempts > 0,
-			exactlyOnce:  ss.ExactlyOnce,
-			ledger:       ledger,
-			k:            k,
-			depth:        cc.spec.InboxDepth,
+			spec:        ss,
+			incarnation: newIncarnation(k, cc.spec.InboxDepth, len(prods), 0),
+			ledger:      ledger,
+			depth:       cc.spec.InboxDepth,
 		}
-		r.inbox.SetLabel("datacutter/inbox")
 		if _, dup := cc.inputs[ss.Name]; dup {
 			panic("datacutter: duplicate stream name " + ss.Name)
 		}
@@ -229,13 +193,6 @@ func (g *Group) wireStream(ss StreamSpec) {
 		svc := rt.nextSvc
 		rt.nextSvc++
 		listener := rt.fab.Endpoint(cc.node.Name()).Listen(svc)
-		remaining := len(prods)
-		closedOne := func() {
-			remaining--
-			if remaining == 0 {
-				r.inbox.Close()
-			}
-		}
 
 		// Acceptor: one inbound connection per producer copy. With
 		// redial armed it keeps accepting replacement connections (the
@@ -259,10 +216,8 @@ func (g *Group) wireStream(ss StreamSpec) {
 				if ss.OpTimeout > 0 {
 					conn.SetTimeout(ss.OpTimeout)
 				}
-				sc := &streamConn{conn: conn}
-				rejoin := n >= len(prods)
-				k.Go(fmt.Sprintf("dc-read/%s/%s.%d.%d", ss.Name, ss.To, j, n), r.connReaderLoop(sc, closedOne, rejoin))
-				if !rejoin {
+				k.Go(fmt.Sprintf("dc-read/%s/%s.%d.%d", ss.Name, ss.To, j, n), r.connReaderLoop(&inbound{conn: conn}))
+				if n < len(prods) {
 					g.setup.Arrive()
 				}
 			}
@@ -273,26 +228,17 @@ func (g *Group) wireStream(ss StreamSpec) {
 		for i, pc := range prods {
 			i, pc := i, pc
 			w := writers[i]
+			t := &target{raddr: cc.node.Name(), svc: svc}
+			w.targets[j] = t
 			k.Go(fmt.Sprintf("dc-dial/%s/%s.%d->%s.%d", ss.Name, ss.From, i, ss.To, j), func(p *sim.Proc) {
-				conn, err := rt.fab.Endpoint(pc.node.Name()).Dial(p, cc.node.Name(), svc)
+				conn, err := rt.fab.Endpoint(pc.node.Name()).Dial(p, t.raddr, svc)
 				if err != nil {
 					g.errs = append(g.errs, err)
 					return
 				}
-				if ss.OpTimeout > 0 {
-					conn.SetTimeout(ss.OpTimeout)
-				}
-				sc := &streamConn{
-					conn:    conn,
-					record:  ss.RecordAckLatency,
-					credits: ss.CreditWindow,
-					raddr:   cc.node.Name(),
-					svc:     svc,
-					est:     p.Now(),
-				}
-				w.targets[j] = sc
-				if needsReverse {
-					k.Go(fmt.Sprintf("dc-ack/%s/%s.%d<-%s.%d", ss.Name, ss.From, i, ss.To, j), w.ackReaderLoop(sc))
+				w.install(t, conn)
+				if ss.reverse() {
+					k.Go(fmt.Sprintf("dc-ack/%s/%s.%d<-%s.%d", ss.Name, ss.From, i, ss.To, j), w.ackReaderLoop(t))
 				}
 				g.setup.Arrive()
 			})
@@ -437,10 +383,7 @@ func (g *Group) finishCopy(p *sim.Proc, fc *filterCopy) {
 			}
 			r := fc.inputs[ss.Name]
 			r.inbox.Close()
-			if r.graceArmed {
-				r.graceTimer.Stop()
-				r.graceArmed = false
-			}
+			r.graceTimer.Stop()
 		}
 	}
 	g.doneLeft--
@@ -483,7 +426,6 @@ func (g *Group) armRestart(fc *filterCopy, uows int) {
 		}
 		fc.epoch++
 		epoch := fc.epoch
-		fc.restarts++
 		fc.restartedAt = k.Now()
 		fc.recoveredAt = 0
 		from := fc.ckpt.next
@@ -502,11 +444,11 @@ func (g *Group) armRestart(fc *filterCopy, uows int) {
 			r := fc.inputs[ss.Name]
 			expected := 0
 			for _, pc := range g.byName[ss.From] {
-				if pc.outputs[ss.Name].requestRejoin(fc.idx, k.Now()) {
+				if pc.outputs[ss.Name].requestRejoin(fc.idx) {
 					expected++
 				}
 			}
-			r.resetForRejoin(k, fc, from, expected, note)
+			r.resetForRejoin(k, from, expected, note)
 		}
 		k.Go(fmt.Sprintf("dc-filter/%s.%d.r%d", fc.spec.Name, fc.idx, epoch), func(p *sim.Proc) {
 			g.setup.Wait(p)
@@ -532,9 +474,6 @@ func (g *Group) step(ctx *Context, fc *filterCopy, uow int) error {
 // units of work.
 func (g *Group) Done() *sim.Signal { return g.doneSig }
 
-// WaitDone blocks p until the group finishes.
-func (g *Group) WaitDone(p *sim.Proc) { p.Wait(g.doneSig) }
-
 // Err returns the first error any copy reported, or nil.
 func (g *Group) Err() error {
 	if len(g.errs) == 0 {
@@ -559,7 +498,7 @@ func (g *Group) WriterOf(filter string, copy int, stream string) *StreamWriter {
 
 // RestartsOf reports how many restart incarnations a copy has run.
 func (g *Group) RestartsOf(filter string, copy int) int {
-	return g.byName[filter][copy].restarts
+	return g.byName[filter][copy].epoch
 }
 
 // RecoveryOf reports the most recent outage bracket of a copy: the
@@ -570,12 +509,4 @@ func (g *Group) RestartsOf(filter string, copy int) int {
 func (g *Group) RecoveryOf(filter string, copy int) (restartedAt, recoveredAt sim.Time) {
 	fc := g.byName[filter][copy]
 	return fc.restartedAt, fc.recoveredAt
-}
-
-// CheckpointOf reports a copy's current checkpoint watermark: the
-// virtual time it was taken and the next unit of work a restart would
-// resume from.
-func (g *Group) CheckpointOf(filter string, copy int) (at sim.Time, next int) {
-	fc := g.byName[filter][copy]
-	return fc.ckpt.at, fc.ckpt.next
 }

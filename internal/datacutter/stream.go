@@ -20,13 +20,68 @@ var errRedispatched = errors.New("datacutter: buffer redispatched")
 // numShedCauses sizes the per-cause shed counters.
 const numShedCauses = int(ShedLost) + 1
 
-// streamConn is one point-to-point connection of a logical stream.
-// The producer side tracks unacknowledged buffers for demand-driven
-// scheduling; the consumer side uses it to route acks back.
-type streamConn struct {
-	conn    core.Conn
-	unacked int
-	sent    uint64
+// targetState is where a consumer copy stands in the writer's view.
+// install makes a target live and failTarget makes it failed; nothing
+// else assigns it (DESIGN.md §8, "Stream lifecycle").
+type targetState uint8
+
+const (
+	targetConnecting targetState = iota // the initial dial has not completed
+	targetLive                          // connected: the writer routes to it
+	targetFailed                        // retired, its in-flight work reclaimed; a redial or rejoin revives it
+)
+
+// sentBuf is one buffer sent and not yet acknowledged, with its unit of
+// work (re-dispatch drops entries from units the writer has finished).
+type sentBuf struct {
+	buf    *Buffer
+	uow    int
+	sentAt sim.Time
+}
+
+// sentFIFO queues sentBufs in send order. A window that never quite
+// drains neither re-allocates nor pins acknowledged buffers.
+type sentFIFO struct {
+	q    []sentBuf
+	head int
+}
+
+func (f *sentFIFO) len() int { return len(f.q) - f.head }
+
+func (f *sentFIFO) push(e sentBuf) {
+	if f.head > 0 && len(f.q) == cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, e)
+}
+
+func (f *sentFIFO) pop() sentBuf {
+	e := f.q[f.head]
+	f.q[f.head] = sentBuf{}
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return e
+}
+
+// target is the writer's end of the connection to one transparent
+// consumer copy: its lifecycle state, the generation of the connection
+// it currently holds, and what that connection still owes.
+type target struct {
+	state targetState
+	// gen counts the connections install has given this target. An ack
+	// reader or a queued rejoin request captures it to learn later
+	// whether its connection is still the current one.
+	gen  uint64
+	conn core.Conn
+
+	// raddr and svc name the consumer copy's endpoint, kept so the
+	// connection can be re-established.
+	raddr string
+	svc   int
 
 	// credits is the remaining flow-control window on this connection
 	// (meaningful when the stream's CreditWindow is armed). A data
@@ -34,104 +89,65 @@ type streamConn struct {
 	// leaves its inbox.
 	credits int
 
-	// raddr and svc name the consumer copy's endpoint, kept so a
-	// redial-armed writer can re-establish the connection.
-	raddr string
-	svc   int
+	// inflight holds the sent-but-unacknowledged buffers, kept only on
+	// acknowledged streams. Its length is the demand-driven policy's
+	// unacknowledged count, its head's age the ack latency (acks arrive
+	// in send order on a connection), and a failed copy's outstanding
+	// work moves from it to the writer's backlog whole.
+	inflight sentFIFO
 
-	// est is when the current connection was established, so a rejoin
-	// request can tell a stale pre-restart connection (the consumer's
-	// incarnation that held the other end is gone) from one the redial
-	// path already re-established after the restart.
-	est sim.Time
-
-	// dead marks the connection failed; the writer routes around it.
-	dead bool
-	// pending holds sent-but-unacknowledged buffers in send order, kept
-	// only on acknowledged streams, so a failed copy's outstanding work
-	// can be re-dispatched to a survivor.
-	pending []pendingBuf
-
-	// Producer-side ack latency instrumentation. Acks arrive in send
-	// order on a connection, so a FIFO of send times suffices.
-	record       bool
-	pendingSends []sim.Time
+	sent         uint64
 	ackLatencies []sim.Time
 }
 
-// pendingBuf is one unacknowledged buffer with the unit of work it
-// belongs to; re-dispatch drops entries from units of work the writer
-// has already finished.
-type pendingBuf struct {
-	buf *Buffer
-	uow int
+// settled reports whether the connection owes the writer nothing.
+func (w *StreamWriter) settled(t *target) bool {
+	return t.inflight.len() == 0 && (w.spec.CreditWindow <= 0 || t.credits >= w.spec.CreditWindow)
 }
 
 // StreamWriter is a producer copy's handle on a logical stream: it
-// distributes buffers among the transparent copies of the consumer.
+// distributes buffers among the transparent copies of the consumer,
+// one target each, routes around failed targets and re-dispatches what
+// they still owed. It runs on the producing filter's process, except
+// the ack readers (a process each) and requestRejoin (kernel callback).
 type StreamWriter struct {
-	name       string
-	policy     Policy
-	targets    []*streamConn
-	rr         int
-	uow        int
-	closed     bool
-	maxUnacked int
-	ackCond    *sim.Cond // signalled on every ack/credit when armed
-	// redispatch enables failover re-dispatch: unacknowledged buffers
-	// of a failed copy are re-sent to a survivor. It requires acks
-	// (demand-driven policy or StreamSpec.Acks) to know what is still
-	// outstanding.
-	redispatch bool
+	spec    StreamSpec
+	targets []*target
+	rr      int
+	uow     int
+	closed  bool
+	// ackCond is broadcast whenever the reverse path moves: an ack or a
+	// credit arrives, a copy fails, a restarted copy asks to rejoin.
+	ackCond *sim.Cond
 	// backlog holds buffers reclaimed from failed copies, waiting to be
-	// re-dispatched.
-	backlog []pendingBuf
-	// redispatched counts buffers re-sent after a copy failure.
+	// re-dispatched; redispatched counts those re-sent.
+	backlog      sentFIFO
 	redispatched uint64
 
-	// Overload-control configuration (see StreamSpec).
-	creditWindow int
-	deadlines    bool
-	shed         ShedPolicy
-	onShed       func(*Buffer, ShedCause)
-
 	// Redial support: ep is the producer's endpoint, redialPol the
-	// backoff policy (Attempts > 0 arms it), opTimeout the per-op bound
-	// to re-arm on re-established connections. needsReverse says a
-	// fresh connection needs an ack/credit reader process.
-	ep             core.Endpoint
-	redialPol      core.RetryPolicy
-	opTimeout      sim.Time
-	needsReverse   bool
-	redialDisarmed bool
-	redialRounds   int
-	redials        uint64
+	// backoff policy (Attempts > 0 arms it).
+	ep           core.Endpoint
+	redialPol    core.RetryPolicy
+	redialRounds int
+	redials      uint64
 
 	// Exactly-once support: seqSrc is the per-stream delivery sequence
 	// counter shared by every producer copy; each data buffer is
 	// stamped once, at first send, so re-dispatched duplicates carry
 	// the same sequence and the consumer-side ledger can suppress them.
-	exactlyOnce bool
-	seqSrc      *uint64
+	seqSrc *uint64
 
 	// rejoinReqs queues restarted consumer copies waiting to be
 	// re-admitted; tryRejoin drains it from proc context.
 	rejoinReqs []rejoinReq
-	rejoins    uint64
 
-	written  uint64
 	shedSend uint64
 	degraded uint64
-	lost     uint64
 }
 
 // Redispatched reports how many buffers were re-sent to a surviving
 // copy after a consumer failure.
 func (w *StreamWriter) Redispatched() uint64 { return w.redispatched }
-
-// Written reports how many data buffers the writer handed to a
-// transport (re-dispatched buffers count again).
-func (w *StreamWriter) Written() uint64 { return w.written }
 
 // ShedAtSend reports how many buffers the writer shed because their
 // deadline had expired before they could be sent.
@@ -141,54 +157,41 @@ func (w *StreamWriter) ShedAtSend() uint64 { return w.shedSend }
 // resolution by the DegradeQuality policy.
 func (w *StreamWriter) DegradedAtSend() uint64 { return w.degraded }
 
-// LostToFailover reports how many reclaimed buffers were dropped
-// because their unit of work had already ended (traced as uow-lost).
-func (w *StreamWriter) LostToFailover() uint64 { return w.lost }
-
 // Redials reports how many connections the writer re-established.
 func (w *StreamWriter) Redials() uint64 { return w.redials }
 
-// Rejoins reports how many restarted consumer copies the writer
-// re-admitted (a subset of Redials).
-func (w *StreamWriter) Rejoins() uint64 { return w.rejoins }
-
 // hdrSize is the stream's fixed forward-path framing size: the base
 // header plus the deadline and exactly-once extensions when armed.
-func (w *StreamWriter) hdrSize() int {
+func (ss *StreamSpec) hdrSize() int {
 	n := headerSize
-	if w.deadlines {
+	if ss.Deadlines {
 		n += 8
 	}
-	if w.exactlyOnce {
+	if ss.ExactlyOnce {
 		n += 8
 	}
 	return n
 }
 
-// WaitCreditsIdle blocks until every live target's credit window is
-// fully returned: the stream is quiescent, with no buffer in flight or
-// parked in a consumer inbox. Producers call it before closing a
-// credit-armed stream so conservation can be checked at quiesce. A
-// credit lost in transit either arrives eventually (kernel TCP
-// retransmits) or breaks the connection, whose dead target is then
-// excused — a wait that never returns is a flow-control leak, which is
-// exactly what the chaos watchdog flags.
-func (w *StreamWriter) WaitCreditsIdle(p *sim.Proc) {
-	if w.creditWindow <= 0 {
-		return
-	}
-	for {
-		w.tryRejoin(p)
-		settled := true
-		for _, t := range w.targets {
-			if !t.dead && t.credits < w.creditWindow {
-				settled = false
-			}
-		}
-		if settled {
-			return
-		}
+// acked reports whether deliveries are acknowledged, which failover
+// re-dispatch requires to know what a failed copy still had outstanding.
+func (ss *StreamSpec) acked() bool { return ss.Policy == DemandDriven || ss.Acks }
+
+// reverse reports whether connections carry acks or credits back; each
+// then needs an ack reader process on the producer side.
+func (ss *StreamSpec) reverse() bool { return ss.acked() || ss.CreditWindow > 0 }
+
+// waitAck parks the writer until the reverse path moves (see ackCond).
+// stalled is the copy the writer awaits a credit from, if any: with an
+// op timeout armed, a copy that returns none within the bound is failed
+// over instead of stalling the producer forever — the reverse path may
+// be silently gone (e.g. the consumer timed out its ack sends during a
+// partition).
+func (w *StreamWriter) waitAck(p *sim.Proc, stalled *target) {
+	if stalled == nil || w.spec.CreditWindow <= 0 || w.spec.OpTimeout <= 0 {
 		w.ackCond.Wait(p)
+	} else if !w.ackCond.WaitTimeout(p, w.spec.OpTimeout) {
+		w.failTarget(p, stalled, errors.New("datacutter: credit stall timeout"))
 	}
 }
 
@@ -202,7 +205,11 @@ func (w *StreamWriter) WaitCreditsIdle(p *sim.Proc) {
 // and the reclaimed entry is flushed, which re-dispatches it or sheds
 // it as lost. Without the wait, a consumer that tears down a stalled
 // connection after the producer closed would take the sent-but-unacked
-// buffers with it, unaccounted. Returns the flush error, if any.
+// buffers with it, unaccounted. A credit lost in transit either
+// arrives eventually (kernel TCP retransmits) or breaks the
+// connection, whose failed target is then excused — a wait that never
+// returns is a flow-control leak, which is exactly what the chaos
+// watchdog flags. Returns the flush error, if any.
 func (w *StreamWriter) WaitQuiesce(p *sim.Proc) error {
 	for {
 		w.tryRejoin(p)
@@ -211,22 +218,14 @@ func (w *StreamWriter) WaitQuiesce(p *sim.Proc) error {
 		}
 		settled := true
 		for _, t := range w.targets {
-			if t.dead {
-				continue
-			}
-			if w.redispatch && t.unacked > 0 {
+			if t.state == targetLive && !w.settled(t) {
 				settled = false
-				break
-			}
-			if w.creditWindow > 0 && t.credits < w.creditWindow {
-				settled = false
-				break
 			}
 		}
 		if settled {
 			return nil
 		}
-		w.ackCond.Wait(p)
+		w.waitAck(p, nil)
 	}
 }
 
@@ -235,14 +234,14 @@ func (w *StreamWriter) WaitQuiesce(p *sim.Proc) error {
 // at quiesce every live connection is back at the full window).
 func (w *StreamWriter) CreditState(target int) (credits int, dead bool) {
 	t := w.targets[target]
-	return t.credits, t.dead
+	return t.credits, t.state != targetLive
 }
 
 // LiveTargets reports how many consumer copies are still reachable.
 func (w *StreamWriter) LiveTargets() int {
 	n := 0
 	for _, t := range w.targets {
-		if !t.dead {
+		if t.state == targetLive {
 			n++
 		}
 	}
@@ -251,16 +250,6 @@ func (w *StreamWriter) LiveTargets() int {
 
 // Targets reports the number of consumer copies.
 func (w *StreamWriter) Targets() int { return len(w.targets) }
-
-// Unacked reports the per-target unacknowledged buffer counts (only
-// meaningful under the demand-driven policy).
-func (w *StreamWriter) Unacked() []int {
-	out := make([]int, len(w.targets))
-	for i, t := range w.targets {
-		out[i] = t.unacked
-	}
-	return out
-}
 
 // Sent reports per-target buffer counts.
 func (w *StreamWriter) Sent() []uint64 {
@@ -271,132 +260,101 @@ func (w *StreamWriter) Sent() []uint64 {
 	return out
 }
 
-// pick chooses the destination copy for the next buffer, blocking
-// under demand-driven routing while every live copy is at its demand
-// window (or out of credits). It skips failed copies; when none
-// survive it attempts redial (if armed) and returns nil once that too
-// is exhausted.
-func (w *StreamWriter) pick(p *sim.Proc) *streamConn {
-	switch w.policy {
+// AckLatencies returns the recorded send-to-ack latencies for one
+// target copy (requires StreamSpec.RecordAckLatency).
+func (w *StreamWriter) AckLatencies(target int) []sim.Time {
+	return w.targets[target].ackLatencies
+}
+
+// choose picks the next buffer's destination without blocking: the next
+// live copy in turn, or the live copy with the fewest unacknowledged
+// buffers among those inside their demand window and holding a credit.
+// first is the lowest live copy, nil when none survive.
+func (w *StreamWriter) choose() (best, first *target) {
+	switch w.spec.Policy {
 	case RoundRobin:
-		for {
-			w.tryRejoin(p)
-			for range w.targets {
-				t := w.targets[w.rr]
-				w.rr = (w.rr + 1) % len(w.targets)
-				if !t.dead {
-					return t
-				}
-			}
-			if !w.tryRedial(p) {
-				return nil
+		for range w.targets {
+			t := w.targets[w.rr]
+			w.rr = (w.rr + 1) % len(w.targets)
+			if t.state == targetLive {
+				return t, t
 			}
 		}
+		return nil, nil
 	case DemandDriven:
-		for {
-			w.tryRejoin(p)
-			var best *streamConn
-			alive := false
-			for _, t := range w.targets {
-				if t.dead {
-					continue
-				}
-				alive = true
-				if w.maxUnacked > 0 && t.unacked >= w.maxUnacked {
-					continue
-				}
-				if w.creditWindow > 0 && t.credits == 0 {
-					continue
-				}
-				if best == nil || t.unacked < best.unacked {
-					best = t
-				}
+		for _, t := range w.targets {
+			if t.state != targetLive {
+				continue
 			}
-			if best != nil {
-				return best
+			if first == nil {
+				first = t
 			}
-			if !alive {
-				if w.tryRedial(p) {
-					continue
-				}
-				return nil
+			if w.spec.MaxUnacked > 0 && t.inflight.len() >= w.spec.MaxUnacked {
+				continue
 			}
-			// Every live copy is at its demand window; a broadcast on
-			// ack/credit arrival or copy failure re-evaluates. With
-			// credits and an op timeout armed, a copy that returns no
-			// credit within the bound is declared stalled and failed
-			// over — the reverse path may be silently gone (e.g. the
-			// consumer timed out its ack sends during a partition).
-			if w.creditWindow > 0 && w.opTimeout > 0 {
-				if !w.ackCond.WaitTimeout(p, w.opTimeout) {
-					w.failStalled(p)
-				}
-			} else {
-				w.ackCond.Wait(p)
+			if w.spec.CreditWindow > 0 && t.credits == 0 {
+				continue
+			}
+			if best == nil || t.inflight.len() < best.inflight.len() {
+				best = t
 			}
 		}
+		return best, first
 	}
 	panic("datacutter: unknown policy")
 }
 
-// tryRedial re-establishes the connection to one dead consumer copy
-// (lowest index first). It reports whether a copy was restored; a
-// fully failed round disarms further redial so exhausted writers fail
-// fast with ErrNoLiveCopies instead of paying the backoff per buffer.
+// pick chooses the destination copy for the next buffer, blocking
+// under demand-driven routing while every live copy is at its demand
+// window (or out of credits); a credit stall that outlasts the op
+// timeout fails the lowest live copy over (a deterministic victim).
+// When no copy survives it attempts redial (if armed) and returns nil
+// once that too is exhausted.
+func (w *StreamWriter) pick(p *sim.Proc) *target {
+	for {
+		w.tryRejoin(p)
+		best, first := w.choose()
+		switch {
+		case best != nil:
+			return best
+		case first != nil:
+			w.waitAck(p, first)
+		case !w.tryRedial(p):
+			return nil
+		}
+	}
+}
+
 // maxRedialRounds bounds how many times a writer re-enters redial:
 // recovery is a bounded mechanism, not an infinite retry loop, so a
 // consumer that keeps dying cannot livelock virtual time.
 const maxRedialRounds = 16
 
+// tryRedial re-establishes the connection to one failed consumer copy
+// (lowest index first). It reports whether a copy was restored; a
+// fully failed round disarms further redial so exhausted writers fail
+// fast with ErrNoLiveCopies instead of paying the backoff per buffer.
 func (w *StreamWriter) tryRedial(p *sim.Proc) bool {
-	if w.redialPol.Attempts <= 0 || w.redialDisarmed {
+	if w.redialPol.Attempts <= 0 || w.redialRounds >= maxRedialRounds {
 		return false
 	}
 	w.redialRounds++
-	if w.redialRounds > maxRedialRounds {
-		w.redialDisarmed = true
-		return false
-	}
 	for j, t := range w.targets {
-		if !t.dead {
-			continue
+		if t.state == targetFailed && w.reconnect(p, j, false) {
+			return true
 		}
-		c, err := core.Redial(p, w.ep, t.raddr, t.svc, w.redialPol)
-		if err != nil {
-			continue
-		}
-		// Re-arm the per-operation deadline on the fresh connection:
-		// the replacement must detect the next stall exactly like the
-		// original did, or a second fault blocks the writer forever.
-		if w.opTimeout > 0 {
-			c.SetTimeout(w.opTimeout)
-		}
-		t.conn = c
-		t.dead = false
-		t.est = p.Now()
-		t.unacked = 0
-		t.credits = w.creditWindow
-		t.pending = nil
-		t.pendingSends = nil
-		w.redials++
-		p.Kernel().Trace("datacutter", "redial", int64(j), w.name)
-		hpsmon.Instant(p, "datacutter", "redial", w.name)
-		if w.needsReverse {
-			name := "dc-ack-redial/" + w.name
-			p.Kernel().Go(name, w.ackReaderLoop(t))
-		}
-		return true
 	}
-	w.redialDisarmed = true
+	w.redialRounds = maxRedialRounds
 	return false
 }
 
-// rejoinReq is one queued rejoin request: which consumer copy, and
-// when its node restarted (so the writer can tell stale pre-restart
-// connections from ones already re-established afterwards).
+// rejoinReq is one queued rejoin request: which consumer copy, and the
+// generation of the connection the writer held to it when its node
+// restarted (so the writer can tell a stale pre-restart connection from
+// one already re-established afterwards).
 type rejoinReq struct {
 	target int
-	at     sim.Time
+	gen    uint64
 }
 
 // requestRejoin queues a restarted consumer copy for re-admission and
@@ -405,7 +363,7 @@ type rejoinReq struct {
 // redial itself happens in tryRejoin, from writer proc context. It
 // reports whether the writer will attempt the rejoin (false once the
 // stream is closed — the restarted copy then has nothing to wait for).
-func (w *StreamWriter) requestRejoin(target int, at sim.Time) bool {
+func (w *StreamWriter) requestRejoin(target int) bool {
 	if w.closed {
 		return false
 	}
@@ -414,40 +372,30 @@ func (w *StreamWriter) requestRejoin(target int, at sim.Time) bool {
 			return true
 		}
 	}
-	w.rejoinReqs = append(w.rejoinReqs, rejoinReq{target: target, at: at})
-	if w.ackCond != nil {
-		w.ackCond.Broadcast()
-	}
+	w.rejoinReqs = append(w.rejoinReqs, rejoinReq{target: target, gen: w.targets[target].gen})
+	w.ackCond.Broadcast()
 	return true
 }
 
-// tryRejoin re-establishes the connection to each queued restarted
-// consumer copy through the core.Redial backoff, re-arms its timeout
-// and credit window, announces the writer's current unit of work with
-// a resync message (so the restarted reader fast-forwards past units
-// it can no longer complete) and restores the copy into the routing
-// set. A failed redial drops the request: the consumer side's rejoin
-// grace deadline completes the copy vacuously instead. Unlike
-// tryRedial, rejoin is not subject to the redial-round budget — it
-// runs once per restart event, driven by the fault plan, not by a
-// retry loop.
+// tryRejoin re-admits each queued restarted consumer copy: it
+// reconnects with a resync message (see reconnect) and restores the
+// copy into the routing set. A failed redial drops the request: the
+// consumer side's rejoin grace deadline completes the copy vacuously
+// instead. Unlike tryRedial, rejoin is not subject to the redial-round
+// budget — it runs once per restart event, driven by the fault plan,
+// not by a retry loop.
 func (w *StreamWriter) tryRejoin(p *sim.Proc) {
 	for len(w.rejoinReqs) > 0 {
 		req := w.rejoinReqs[0]
 		w.rejoinReqs = w.rejoinReqs[1:]
-		j := req.target
-		t := w.targets[j]
-		if !t.dead {
-			if t.est > req.at {
+		t := w.targets[req.target]
+		if t.state == targetLive {
+			if t.gen != req.gen {
 				// The redial path already re-established this connection
 				// after the restart — it just never announced the writer's
 				// position. Send the resync on the live connection so the
 				// restarted reader can fast-forward.
-				hdr := make([]byte, w.hdrSize())
-				putHeader(hdr, wireResync, 0, w.uow, 0, 0)
-				if err := t.conn.Send(p, hdr); err != nil {
-					w.failTarget(p, t, err)
-				}
+				w.resync(p, t)
 				continue
 			}
 			// The rejoin request outran the writer's own crash detection:
@@ -457,43 +405,67 @@ func (w *StreamWriter) tryRejoin(p *sim.Proc) {
 			// reclaiming its outstanding work, and rejoin below.
 			w.failTarget(p, t, errors.New("datacutter: stale connection after consumer restart"))
 		}
-		pol := w.redialPol
-		if pol.Attempts <= 0 {
-			pol = core.DefaultRetryPolicy(int64(j + 1))
-		}
-		c, err := core.Redial(p, w.ep, t.raddr, t.svc, pol)
-		if err != nil {
-			continue
-		}
-		if w.opTimeout > 0 {
-			c.SetTimeout(w.opTimeout)
-		}
-		t.conn = c
-		t.dead = false
-		t.est = p.Now()
-		t.unacked = 0
-		t.credits = w.creditWindow
-		t.pending = nil
-		t.pendingSends = nil
-		hdr := make([]byte, w.hdrSize())
-		putHeader(hdr, wireResync, 0, w.uow, 0, 0)
-		if err := c.Send(p, hdr); err != nil {
-			w.failTarget(p, t, err)
-			continue
-		}
-		w.redials++
-		w.rejoins++
-		p.Kernel().Trace("datacutter", "rejoin", int64(j), w.name)
-		hpsmon.Count(p.Kernel(), "datacutter", "rejoins", 1)
-		hpsmon.Instant(p, "datacutter", "rejoin", w.name)
-		if w.needsReverse {
-			name := "dc-ack-rejoin/" + w.name
-			p.Kernel().Go(name, w.ackReaderLoop(t))
-		}
-		if w.ackCond != nil {
-			w.ackCond.Broadcast()
-		}
+		w.reconnect(p, req.target, true)
 	}
+}
+
+// resync announces the writer's current unit of work to a restarted
+// reader, so it fast-forwards past units it can no longer complete.
+func (w *StreamWriter) resync(p *sim.Proc, t *target) bool {
+	hdr := make([]byte, w.spec.hdrSize())
+	putHeader(hdr, wireResync, 0, w.uow, 0, 0)
+	if err := t.conn.Send(p, hdr); err != nil {
+		w.failTarget(p, t, err)
+		return false
+	}
+	return true
+}
+
+// reconnect re-establishes the connection to failed consumer copy j
+// through the core.Redial backoff and installs it, for tryRedial or —
+// with the resync message a restarted reader waits for — tryRejoin. It
+// reports whether the copy is live again.
+func (w *StreamWriter) reconnect(p *sim.Proc, j int, rejoin bool) bool {
+	t := w.targets[j]
+	c, err := core.Redial(p, w.ep, t.raddr, t.svc, w.redialPol)
+	if err != nil {
+		return false
+	}
+	w.install(t, c)
+	if rejoin && !w.resync(p, t) {
+		return false
+	}
+	w.redials++
+	ackProc := "dc-ack-redial/"
+	if rejoin {
+		ackProc = "dc-ack-rejoin/"
+		p.Kernel().Trace("datacutter", "rejoin", int64(j), w.spec.Name)
+		hpsmon.Count(p.Kernel(), "datacutter", "rejoins", 1)
+		hpsmon.Instant(p, "datacutter", "rejoin", w.spec.Name)
+	} else {
+		p.Kernel().Trace("datacutter", "redial", int64(j), w.spec.Name)
+		hpsmon.Instant(p, "datacutter", "redial", w.spec.Name)
+	}
+	if w.spec.reverse() {
+		p.Kernel().Go(ackProc+w.spec.Name, w.ackReaderLoop(t))
+	}
+	return true
+}
+
+// install makes c the target's connection — the initial dial, a redial
+// and a rejoin all end here — and the target live, with a full credit
+// window and nothing in flight (failTarget emptied it).
+func (w *StreamWriter) install(t *target, c core.Conn) {
+	// Arm the per-operation deadline on every connection, fresh or
+	// replacement: the replacement must detect the next stall exactly
+	// like the original did, or a second fault blocks the writer forever.
+	if w.spec.OpTimeout > 0 {
+		c.SetTimeout(w.spec.OpTimeout)
+	}
+	t.conn = c
+	t.gen++
+	t.state = targetLive
+	t.credits = w.spec.CreditWindow
 }
 
 // shedAtSend applies the producer-side deadline check: an expired
@@ -501,10 +473,10 @@ func (w *StreamWriter) tryRejoin(p *sim.Proc) {
 // (DegradeQuality). It reports whether the buffer was shed and must
 // not be sent.
 func (w *StreamWriter) shedAtSend(p *sim.Proc, buf *Buffer) bool {
-	if !w.deadlines || w.shed == Block || buf.Deadline == 0 || p.Now() < buf.Deadline {
+	if !w.spec.Deadlines || w.spec.Shed == Block || buf.Deadline == 0 || p.Now() < buf.Deadline {
 		return false
 	}
-	if w.shed == DegradeQuality {
+	if w.spec.Shed == DegradeQuality {
 		if !buf.Degraded {
 			buf.Degraded = true
 			if buf.Size > 1 {
@@ -517,61 +489,41 @@ func (w *StreamWriter) shedAtSend(p *sim.Proc, buf *Buffer) bool {
 				}
 			}
 			w.degraded++
-			p.Kernel().Trace("datacutter", "degrade", int64(buf.Size), w.name)
+			p.Kernel().Trace("datacutter", "degrade", int64(buf.Size), w.spec.Name)
 			hpsmon.Count(p.Kernel(), "datacutter", "shed.degraded", 1)
-			hpsmon.Instant(p, "datacutter", "degrade", w.name)
+			hpsmon.Instant(p, "datacutter", "degrade", w.spec.Name)
 		}
 		return false
 	}
 	w.shedSend++
-	p.Kernel().Trace("datacutter", "shed-expired", int64(buf.Size), w.name)
+	p.Kernel().Trace("datacutter", "shed-expired", int64(buf.Size), w.spec.Name)
 	hpsmon.Count(p.Kernel(), "datacutter", "shed.expired", 1)
-	hpsmon.Instant(p, "datacutter", "shed-expired", w.name)
-	if w.onShed != nil {
-		w.onShed(buf, ShedExpired)
+	hpsmon.Instant(p, "datacutter", "shed-expired", w.spec.Name)
+	if w.spec.OnShed != nil {
+		w.spec.OnShed(buf, ShedExpired)
 	}
 	return true
 }
 
-// failStalled fails the first live target over after a credit-stall
-// timeout (deterministic victim: lowest index).
-func (w *StreamWriter) failStalled(p *sim.Proc) {
-	for _, t := range w.targets {
-		if !t.dead {
-			w.failTarget(p, t, errors.New("datacutter: credit stall timeout"))
-			return
-		}
+// awaitCredit blocks until the target has send credit or fails. It
+// reports whether the target is still live.
+func (w *StreamWriter) awaitCredit(p *sim.Proc, t *target) bool {
+	if w.spec.CreditWindow <= 0 || t.credits > 0 {
+		return t.state == targetLive
 	}
-}
-
-// awaitCredit blocks until the target has send credit or dies. It
-// reports whether the target is still live. With an op timeout armed,
-// a copy that returns no credit within the bound is failed over
-// instead of stalling the producer forever.
-func (w *StreamWriter) awaitCredit(p *sim.Proc, t *streamConn) bool {
-	if w.creditWindow <= 0 || t.credits > 0 {
-		return !t.dead
-	}
-	sc := hpsmon.Begin(p, "datacutter", "credit-stall", w.name)
+	sc := hpsmon.Begin(p, "datacutter", "credit-stall", w.spec.Name)
 	hpsmon.Count(p.Kernel(), "datacutter", "credit.stalls", 1)
-	for t.credits == 0 && !t.dead {
-		if w.opTimeout > 0 {
-			if !w.ackCond.WaitTimeout(p, w.opTimeout) {
-				w.failTarget(p, t, errors.New("datacutter: credit stall timeout"))
-				break
-			}
-		} else {
-			w.ackCond.Wait(p)
-		}
+	for t.credits == 0 && t.state == targetLive {
+		w.waitAck(p, t)
 	}
 	sc.End()
-	return !t.dead
+	return t.state == targetLive
 }
 
 // Write sends a buffer to one consumer copy chosen by the stream's
 // policy. It blocks until the transport has buffered the bytes (and,
 // with credits armed, until the chosen copy grants a credit). When a
-// copy's connection fails mid-send, the copy is marked dead and the
+// copy's connection fails mid-send, the copy is failed over and the
 // buffer (plus, on acknowledged streams, the copy's unacknowledged
 // backlog) is re-dispatched to a survivor; Write fails with
 // ErrNoLiveCopies only once every copy is gone and redial (if armed)
@@ -579,7 +531,7 @@ func (w *StreamWriter) awaitCredit(p *sim.Proc, t *streamConn) bool {
 // stream's ShedPolicy instead of being sent.
 func (w *StreamWriter) Write(p *sim.Proc, buf *Buffer) error {
 	if w.closed {
-		panic("datacutter: write on closed stream " + w.name)
+		panic("datacutter: write on closed stream " + w.spec.Name)
 	}
 	w.checkDeadline(buf)
 	if err := w.flushBacklog(p); err != nil {
@@ -587,7 +539,7 @@ func (w *StreamWriter) Write(p *sim.Proc, buf *Buffer) error {
 	}
 	err := w.dispatch(p, buf)
 	if err == errRedispatched {
-		// The buffer joined the backlog via the failed copy's pending
+		// The buffer joined the backlog via the failed copy's in-flight
 		// list; flush re-dispatches it with the rest.
 		return w.flushBacklog(p)
 	}
@@ -616,7 +568,7 @@ func (w *StreamWriter) dispatch(p *sim.Proc, buf *Buffer) error {
 			return nil
 		}
 		w.failTarget(p, t, err)
-		if w.redispatch {
+		if w.spec.acked() {
 			return errRedispatched
 		}
 	}
@@ -625,28 +577,33 @@ func (w *StreamWriter) dispatch(p *sim.Proc, buf *Buffer) error {
 // checkDeadline rejects deadline-carrying buffers on streams that were
 // not armed for them: the wire framing would silently drop the field.
 func (w *StreamWriter) checkDeadline(buf *Buffer) {
-	if buf.Deadline != 0 && !w.deadlines {
-		panic("datacutter: buffer with deadline on stream " + w.name +
+	if buf.Deadline != 0 && !w.spec.Deadlines {
+		panic("datacutter: buffer with deadline on stream " + w.spec.Name +
 			" without StreamSpec.Deadlines")
 	}
 }
 
 // WriteTo sends a buffer to an explicit consumer copy, for application
 // level schedulers that bypass the built-in policies. Shed policies
-// and credits apply exactly as in Write.
+// and credits apply exactly as in Write; there is no failover, so a
+// copy that has failed (or fails during the credit wait) is reported
+// as core.ErrConnClosed with nothing sent or booked.
 func (w *StreamWriter) WriteTo(p *sim.Proc, target int, buf *Buffer) error {
 	w.checkDeadline(buf)
 	if w.shedAtSend(p, buf) {
 		return nil
 	}
 	t := w.targets[target]
-	if w.awaitCredit(p, t) && w.shedAtSend(p, buf) {
+	if !w.awaitCredit(p, t) {
+		return core.ErrConnClosed
+	}
+	if w.shedAtSend(p, buf) {
 		return nil
 	}
 	return w.writeTo(p, t, buf)
 }
 
-func (w *StreamWriter) writeTo(p *sim.Proc, t *streamConn, buf *Buffer) error {
+func (w *StreamWriter) writeTo(p *sim.Proc, t *target, buf *Buffer) error {
 	var flags uint8
 	if buf.Data != nil {
 		flags |= flagReal
@@ -657,33 +614,29 @@ func (w *StreamWriter) writeTo(p *sim.Proc, t *streamConn, buf *Buffer) error {
 	if buf.Degraded {
 		flags |= flagDegraded
 	}
-	hdr := make([]byte, w.hdrSize())
+	hdr := make([]byte, w.spec.hdrSize())
 	putHeader(hdr, wireData, flags, w.uow, buf.Size, buf.Tag)
-	if w.deadlines {
+	if w.spec.Deadlines {
 		putDeadline(hdr, buf.Deadline)
 	}
-	if w.exactlyOnce {
+	if w.seqSrc != nil {
 		if buf.seq == 0 {
 			*w.seqSrc++
 			buf.seq = *w.seqSrc
 		}
 		putSeq(hdr, buf.seq)
 	}
-	p.Kernel().Trace("datacutter", "buffer-out", int64(buf.Size), w.name)
+	p.Kernel().Trace("datacutter", "buffer-out", int64(buf.Size), w.spec.Name)
 	hpsmon.Count(p.Kernel(), "datacutter", "buffers.out", 1)
 	hpsmon.Count(p.Kernel(), "datacutter", "bytes.out", int64(buf.Size))
-	sc := hpsmon.Begin(p, "datacutter", "stream-send", w.name)
-	hpsmon.FlowSend(p, w.name, w.uow, buf.Tag)
-	t.unacked++
+	sc := hpsmon.Begin(p, "datacutter", "stream-send", w.spec.Name)
+	hpsmon.FlowSend(p, w.spec.Name, w.uow, buf.Tag)
 	t.sent++
-	if w.creditWindow > 0 {
+	if w.spec.CreditWindow > 0 {
 		t.credits--
 	}
-	if w.redispatch {
-		t.pending = append(t.pending, pendingBuf{buf: buf, uow: w.uow})
-	}
-	if t.record {
-		t.pendingSends = append(t.pendingSends, p.Now())
+	if w.spec.acked() {
+		t.inflight.push(sentBuf{buf: buf, uow: w.uow, sentAt: p.Now()})
 	}
 	err := t.conn.Send(p, hdr)
 	if err == nil {
@@ -694,31 +647,25 @@ func (w *StreamWriter) writeTo(p *sim.Proc, t *streamConn, buf *Buffer) error {
 		}
 	}
 	sc.End()
-	if err == nil {
-		w.written++
-	}
 	return err
 }
 
-// failTarget marks a copy's connection dead, reclaims its
-// unacknowledged buffers into the backlog and wakes any writer blocked
-// at the demand window. Idempotent: loops that race to report the same
-// broken connection converge on one failover.
-func (w *StreamWriter) failTarget(p *sim.Proc, t *streamConn, err error) {
-	if t.dead {
+// failTarget retires a copy's connection, reclaims its unacknowledged
+// buffers into the backlog and wakes any writer blocked at the demand
+// window. Idempotent: loops that race to report the same broken
+// connection converge on one failover.
+func (w *StreamWriter) failTarget(p *sim.Proc, t *target, err error) {
+	if t.state != targetLive {
 		return
 	}
-	t.dead = true
-	p.Kernel().Trace("datacutter", "copy-fail", int64(len(t.pending)),
-		w.name+": "+err.Error())
-	hpsmon.Instant(p, "datacutter", "copy-fail", w.name)
-	w.backlog = append(w.backlog, t.pending...)
-	t.pending = nil
-	t.pendingSends = nil
-	t.unacked = 0
-	if w.ackCond != nil {
-		w.ackCond.Broadcast()
+	t.state = targetFailed
+	p.Kernel().Trace("datacutter", "copy-fail", int64(t.inflight.len()),
+		w.spec.Name+": "+err.Error())
+	hpsmon.Instant(p, "datacutter", "copy-fail", w.spec.Name)
+	for t.inflight.len() > 0 {
+		w.backlog.push(t.inflight.pop())
 	}
+	w.ackCond.Broadcast()
 	// Abortive close in spirit: the writer must never block draining
 	// data to a copy it has declared dead. A crash-restarted consumer
 	// revives the peer's transport stack but not the superseded reader
@@ -727,7 +674,7 @@ func (w *StreamWriter) failTarget(p *sim.Proc, t *streamConn, err error) {
 	// behind undeliverable bytes. Park the drain in a reaper proc
 	// instead; the writer moves straight on to failover or rejoin.
 	conn := t.conn
-	p.Kernel().Go("dc-conn-reap/"+w.name, func(p *sim.Proc) {
+	p.Kernel().Go("dc-conn-reap/"+w.spec.Name, func(p *sim.Proc) {
 		conn.Close(p)
 	})
 }
@@ -737,15 +684,13 @@ func (w *StreamWriter) failTarget(p *sim.Proc, t *streamConn, err error) {
 // that work is lost, traced as uow-lost — because re-sending them
 // after their end-of-work marker would corrupt UOW accounting.
 func (w *StreamWriter) flushBacklog(p *sim.Proc) error {
-	for len(w.backlog) > 0 {
-		e := w.backlog[0]
-		w.backlog = w.backlog[1:]
+	for w.backlog.len() > 0 {
+		e := w.backlog.pop()
 		if e.uow != w.uow {
-			w.lost++
-			p.Kernel().Trace("datacutter", "uow-lost", int64(e.buf.Size), w.name)
-			hpsmon.Instant(p, "datacutter", "uow-lost", w.name)
-			if w.onShed != nil {
-				w.onShed(e.buf, ShedLost)
+			p.Kernel().Trace("datacutter", "uow-lost", int64(e.buf.Size), w.spec.Name)
+			hpsmon.Instant(p, "datacutter", "uow-lost", w.spec.Name)
+			if w.spec.OnShed != nil {
+				w.spec.OnShed(e.buf, ShedLost)
 			}
 			continue
 		}
@@ -756,7 +701,7 @@ func (w *StreamWriter) flushBacklog(p *sim.Proc) error {
 			hpsmon.Count(p.Kernel(), "datacutter", "redispatched", 1)
 		case errRedispatched:
 			// The entry returned to the backlog through the failed
-			// copy's pending list; keep draining.
+			// copy's in-flight list; keep draining.
 			continue
 		default:
 			return err
@@ -776,11 +721,11 @@ func (w *StreamWriter) EndOfWork(p *sim.Proc) error {
 	if err := w.flushBacklog(p); err != nil {
 		return err
 	}
-	hdr := make([]byte, w.hdrSize())
+	hdr := make([]byte, w.spec.hdrSize())
 	putHeader(hdr, wireEOW, 0, w.uow, 0, 0)
 	live := 0
 	for _, t := range w.targets {
-		if t.dead {
+		if t.state != targetLive {
 			continue
 		}
 		if err := t.conn.Send(p, append([]byte(nil), hdr...)); err != nil {
@@ -813,19 +758,19 @@ func (w *StreamWriter) Close(p *sim.Proc) {
 // credits. A failed or garbled reverse stream fails the copy over
 // instead of panicking: under fault injection a broken or corrupted
 // connection is an operating condition, not a protocol bug.
-func (w *StreamWriter) ackReaderLoop(t *streamConn) func(p *sim.Proc) {
+func (w *StreamWriter) ackReaderLoop(t *target) func(p *sim.Proc) {
 	// Pin the loop to the connection it was spawned for: a restart
 	// rejoin (or redial) replaces t.conn while this loop is parked in
 	// RecvFull on the old one, and resurrects the target — so neither
-	// w.closed nor t.dead identifies the loop as stale. Without the
-	// pin, the old loop's eventual timeout would fail the fresh
-	// connection over and wedge the writer in a redial livelock.
-	c := t.conn
+	// w.closed nor the target's state identifies the loop as stale.
+	// Without the pin, the old loop's eventual timeout would fail the
+	// fresh connection over and wedge the writer in a redial livelock.
+	gen, c := t.gen, t.conn
 	return func(p *sim.Proc) {
 		hdr := make([]byte, headerSize)
 		for {
 			_, err := c.RecvFull(p, hdr)
-			if t.conn != c {
+			if t.gen != gen {
 				return // the target moved on to a new connection
 			}
 			if err != nil {
@@ -833,11 +778,10 @@ func (w *StreamWriter) ackReaderLoop(t *streamConn) func(p *sim.Proc) {
 				// over) retires the loop quietly — checked first, or the
 				// idle-timeout re-arm below would tick forever on a
 				// closed stream.
-				if w.closed || t.dead {
+				if w.closed || t.state != targetLive {
 					return
 				}
-				if errors.Is(err, core.ErrTimeout) && t.unacked == 0 &&
-					(w.creditWindow <= 0 || t.credits >= w.creditWindow) {
+				if errors.Is(err, core.ErrTimeout) && w.settled(t) {
 					// An armed op timeout on a connection that owes us
 					// nothing: the reverse path is idle, not stalled
 					// (demand-driven routing can starve a copy of sends
@@ -856,19 +800,15 @@ func (w *StreamWriter) ackReaderLoop(t *streamConn) func(p *sim.Proc) {
 			kind, _, _, _, _ := parseHeader(hdr)
 			switch kind {
 			case wireAck:
-				if t.unacked > 0 {
-					t.unacked--
-				}
-				if len(t.pending) > 0 {
+				if t.inflight.len() > 0 {
 					// Acks arrive in send order, so the head is acked.
-					t.pending = t.pending[1:]
-				}
-				if t.record && len(t.pendingSends) > 0 {
-					t.ackLatencies = append(t.ackLatencies, p.Now()-t.pendingSends[0])
-					t.pendingSends = t.pendingSends[1:]
+					e := t.inflight.pop()
+					if w.spec.RecordAckLatency {
+						t.ackLatencies = append(t.ackLatencies, p.Now()-e.sentAt)
+					}
 				}
 			case wireCredit:
-				if w.creditWindow <= 0 || t.credits >= w.creditWindow {
+				if w.spec.CreditWindow <= 0 || t.credits >= w.spec.CreditWindow {
 					w.failTarget(p, t, errors.New("datacutter: credit overflow on reverse stream"))
 					return
 				}
@@ -877,31 +817,48 @@ func (w *StreamWriter) ackReaderLoop(t *streamConn) func(p *sim.Proc) {
 				w.failTarget(p, t, errors.New("datacutter: garbled reverse-stream message"))
 				return
 			}
-			if w.ackCond != nil {
-				w.ackCond.Broadcast()
-			}
+			w.ackCond.Broadcast()
 		}
 	}
 }
 
-// inboxItem is one delivered stream element on the consumer side.
-type inboxItem struct {
-	buf    *Buffer
-	eow    bool
-	uow    int  // for eow/resync markers: the unit of work they carry
-	lost   bool // the producer connection behind this slot ended
-	rejoin bool // a redialed producer connection came back
-	resync bool // a rejoining producer announced its current uow
+// inbound is the reader's end of one producer connection; buffers
+// remember the one they arrived on so acks and credits route back.
+type inbound struct {
+	conn core.Conn
+	dead bool // given up on: torn down, or found unreachable by an ack
 }
 
-// StreamReader is a consumer copy's handle on a logical stream,
-// merging the connections from all producer copies.
-type StreamReader struct {
-	name   string
-	policy Policy
-	acks   bool
-	inbox  *sim.Queue[inboxItem]
-	nconns int
+type itemKind uint8
+
+const (
+	itemData   itemKind = iota
+	itemEOW             // end-of-work marker for unit of work uow
+	itemResync          // a rejoining producer announced its current uow
+	itemLost            // the producer connection behind this slot ended
+	itemRejoin          // a redialed producer connection came back
+)
+
+// inboxItem is one delivered stream element on the consumer side.
+type inboxItem struct {
+	kind itemKind
+	buf  *Buffer
+	uow  int // for eow/resync markers: the unit of work they carry
+}
+
+// incarnation is what a restart of the reader's filter copy forgets.
+// resetForRejoin replaces it wholesale and every connReaderLoop feeds
+// the one it was started under: a connection that predates a restart
+// keeps putting into the old, closed inbox, which swallows the puts, so
+// its markers cannot leak into the new incarnation's accounting.
+type incarnation struct {
+	inbox *sim.Queue[inboxItem]
+	// nconns counts the producer connections whose end-of-work markers
+	// the reader expects; wired, the original ones (already in nconns)
+	// yet to start their loop — later ones are replacements and announce
+	// themselves with a rejoin marker; open, those still feeding a
+	// stream without redial, whose inbox closes with the last.
+	nconns, wired, open int
 	// eowSeen counts end-of-work markers per unit of work: a fast
 	// producer may deliver its next-UOW marker while a straggler is
 	// still finishing the current one.
@@ -909,30 +866,42 @@ type StreamReader struct {
 	uow     int
 	stash   []*Buffer // buffers that arrived for a future unit of work
 
-	creditWindow int
-	deadlines    bool
-	shedPolicy   ShedPolicy
-	onShed       func(*Buffer, ShedCause)
-	onDeliver    func(*Buffer)
-	redial       bool
-
-	// Exactly-once support: ledger is the per-stream delivery ledger
-	// shared by every consumer copy (failover re-dispatch crosses
-	// copies); duplicates counts suppressed redeliveries.
-	exactlyOnce bool
-	ledger      *dedupLedger
-	duplicates  uint64
-
-	// Crash-restart recovery state (armed by FilterSpec.CheckpointEvery
-	// on the consuming filter; see resetForRejoin). depth is kept so a
-	// restart can rebuild the inbox at the spec'd capacity.
-	k           *sim.Kernel
-	depth       int
-	awaitRejoin int       // rejoin markers the new incarnation still expects
+	// Set on the incarnations a restart creates (see resetForRejoin).
+	awaitRejoin int       // rejoin markers the incarnation still expects
 	resyncTo    int       // fast-forward target uow announced by resync messages
 	graceTimer  sim.Timer // rejoin grace deadline; stopped when rejoins complete
-	graceArmed  bool
-	recoverNote func() // first-delivery callback of the current incarnation
+	recoverNote func()    // first-delivery callback
+}
+
+func newIncarnation(k *sim.Kernel, depth, nconns, uow int) *incarnation {
+	inc := &incarnation{
+		inbox:  sim.NewQueue[inboxItem](k, depth),
+		nconns: nconns, wired: nconns, open: nconns,
+		eowSeen: make(map[int]int),
+		uow:     uow, resyncTo: uow,
+	}
+	inc.inbox.SetLabel("datacutter/inbox")
+	return inc
+}
+
+// StreamReader is a consumer copy's handle on a logical stream,
+// merging the connections from all producer copies into one inbox.
+// What a crash-restart loses is in the embedded incarnation.
+type StreamReader struct {
+	spec StreamSpec
+	*incarnation
+
+	// Exactly-once support: ledger holds the sequences delivered on
+	// the logical stream, shared by every consumer copy — failover
+	// re-dispatch crosses copies, so a per-copy ledger could not
+	// suppress a buffer re-dispatched from a dead copy to a survivor.
+	// Sequence numbers are writer-assigned, start at 1 and are unique
+	// per buffer, so membership is exactly "this buffer was already
+	// delivered". duplicates counts suppressed redeliveries.
+	ledger     map[uint64]struct{}
+	duplicates uint64
+
+	depth int // inbox capacity, kept for the next incarnation
 
 	received uint64
 	shed     [numShedCauses]uint64
@@ -944,22 +913,6 @@ func (r *StreamReader) Received() uint64 { return r.received }
 // Duplicates reports how many redeliveries the exactly-once ledger
 // suppressed.
 func (r *StreamReader) Duplicates() uint64 { return r.duplicates }
-
-// hdrSize mirrors StreamWriter.hdrSize for the consumer side.
-func (r *StreamReader) hdrSize() int {
-	n := headerSize
-	if r.deadlines {
-		n += 8
-	}
-	if r.exactlyOnce {
-		n += 8
-	}
-	return n
-}
-
-// ShedCount reports how many buffers the consumer side shed for one
-// cause (ShedOldest, ShedNewest, ShedStale).
-func (r *StreamReader) ShedCount(cause ShedCause) uint64 { return r.shed[cause] }
 
 // ShedTotal reports the total consumer-side shed count.
 func (r *StreamReader) ShedTotal() uint64 {
@@ -977,19 +930,14 @@ func (r *StreamReader) ShedTotal() uint64 {
 // Read acknowledges the buffer to its producer — the "consumer begins
 // processing" signal of the paper.
 func (r *StreamReader) Read(p *sim.Proc) (*Buffer, bool) {
-	sc := hpsmon.Begin(p, "datacutter", "stream-read", r.name)
-	b, ok := r.read(p)
-	sc.End()
-	return b, ok
-}
-
-func (r *StreamReader) read(p *sim.Proc) (*Buffer, bool) {
+	sc := hpsmon.Begin(p, "datacutter", "stream-read", r.spec.Name)
+	defer sc.End()
 	for {
 		b, ok := r.next(p)
 		if !ok {
 			return nil, false
 		}
-		if r.ledger != nil && b.seq != 0 && r.ledger.delivered(b.seq) {
+		if _, dup := r.ledger[b.seq]; dup {
 			r.suppressDup(p, b)
 			continue
 		}
@@ -1009,9 +957,9 @@ func (r *StreamReader) read(p *sim.Proc) (*Buffer, bool) {
 // moves.
 func (r *StreamReader) suppressDup(p *sim.Proc, b *Buffer) {
 	r.duplicates++
-	p.Kernel().Trace("datacutter", "dup-suppressed", int64(b.Size), r.name)
+	p.Kernel().Trace("datacutter", "dup-suppressed", int64(b.Size), r.spec.Name)
 	hpsmon.Count(p.Kernel(), "datacutter", "dup.suppressed", 1)
-	hpsmon.Instant(p, "datacutter", "dup-suppressed", r.name)
+	hpsmon.Instant(p, "datacutter", "dup-suppressed", r.spec.Name)
 	r.returnCredit(p, b)
 	r.ack(p, b)
 }
@@ -1021,10 +969,17 @@ func (r *StreamReader) suppressDup(p *sim.Proc, b *Buffer) {
 // still delivers — a late partial update beats nothing, and the
 // producer already reduced it).
 func (r *StreamReader) staleDrop(b *Buffer, now sim.Time) bool {
-	if r.shedPolicy != DropOldest && r.shedPolicy != DropNewest {
+	if r.spec.Shed != DropOldest && r.spec.Shed != DropNewest {
 		return false
 	}
 	return b.Deadline > 0 && now > b.Deadline
+}
+
+// advance ends the current unit of work and moves on to the next.
+func (r *StreamReader) advance() (*Buffer, bool) {
+	delete(r.eowSeen, r.uow)
+	r.uow++
+	return nil, false
 }
 
 // next produces the next data buffer of the current unit of work,
@@ -1036,9 +991,7 @@ func (r *StreamReader) next(p *sim.Proc) (*Buffer, bool) {
 		// arrive. Complete the unit vacuously and advance — this is
 		// the restarted copy replaying from its checkpoint up to the
 		// producers' live position.
-		delete(r.eowSeen, r.uow)
-		r.uow++
-		return nil, false
+		return r.advance()
 	}
 	// Serve buffers that arrived early for what is now the current UOW.
 	for i, b := range r.stash {
@@ -1057,7 +1010,7 @@ func (r *StreamReader) next(p *sim.Proc) (*Buffer, bool) {
 			if !ok {
 				return nil, false
 			}
-			if item.rejoin {
+			if item.kind == itemRejoin {
 				r.noteRejoin(p)
 			}
 			continue
@@ -1070,58 +1023,46 @@ func (r *StreamReader) next(p *sim.Proc) (*Buffer, bool) {
 		if !ok {
 			return nil, false // stream closed
 		}
-		if item.rejoin {
+		switch item.kind {
+		case itemRejoin:
 			r.noteRejoin(p)
-			continue
-		}
-		if item.resync {
+		case itemResync:
 			if item.uow > r.resyncTo {
 				r.resyncTo = item.uow
 			}
 			if r.uow < r.resyncTo {
-				delete(r.eowSeen, r.uow)
-				r.uow++
-				return nil, false
+				return r.advance()
 			}
-			continue
-		}
-		if item.lost {
+		case itemLost:
 			// A producer connection ended; stop waiting for its
 			// end-of-work markers. The current unit of work may now be
 			// complete with one fewer expected marker.
 			r.nconns--
-			p.Kernel().Trace("datacutter", "producer-lost", int64(r.nconns), r.name)
+			p.Kernel().Trace("datacutter", "producer-lost", int64(r.nconns), r.spec.Name)
 			if r.nconns <= 0 {
 				return nil, false
 			}
 			if r.eowSeen[r.uow] >= r.nconns {
-				delete(r.eowSeen, r.uow)
-				r.uow++
-				return nil, false
+				return r.advance()
 			}
-			continue
-		}
-		if item.eow {
+		case itemEOW:
 			r.eowSeen[item.uow]++
 			if r.eowSeen[r.uow] >= r.nconns {
-				delete(r.eowSeen, r.uow)
-				r.uow++
-				return nil, false
+				return r.advance()
 			}
-			continue
+		case itemData:
+			switch {
+			case item.buf.UOW == r.uow:
+				return item.buf, true
+			case item.buf.UOW > r.uow:
+				r.stash = append(r.stash, item.buf)
+			default:
+				// Late redelivery for a unit of work this reader already
+				// declared complete (its connections were lost at the
+				// time): the work is gone; account it and move on.
+				r.shedBuf(p, item.buf, ShedLost)
+			}
 		}
-		if item.buf.UOW < r.uow {
-			// Late redelivery for a unit of work this reader already
-			// declared complete (its connections were lost at the
-			// time): the work is gone; account it and move on.
-			r.shedBuf(p, item.buf, ShedLost)
-			continue
-		}
-		if item.buf.UOW != r.uow {
-			r.stash = append(r.stash, item.buf)
-			continue
-		}
-		return item.buf, true
 	}
 }
 
@@ -1131,12 +1072,11 @@ func (r *StreamReader) next(p *sim.Proc) (*Buffer, bool) {
 // grace deadline.
 func (r *StreamReader) noteRejoin(p *sim.Proc) {
 	r.nconns++
-	p.Kernel().Trace("datacutter", "producer-rejoin", int64(r.nconns), r.name)
+	p.Kernel().Trace("datacutter", "producer-rejoin", int64(r.nconns), r.spec.Name)
 	if r.awaitRejoin > 0 {
 		r.awaitRejoin--
-		if r.awaitRejoin == 0 && r.graceArmed {
+		if r.awaitRejoin == 0 {
 			r.graceTimer.Stop()
-			r.graceArmed = false
 		}
 	}
 }
@@ -1145,20 +1085,20 @@ func (r *StreamReader) noteRejoin(p *sim.Proc) {
 // acknowledges it when the stream's policy calls for acks.
 func (r *StreamReader) deliver(p *sim.Proc, b *Buffer) {
 	if r.ledger != nil && b.seq != 0 {
-		r.ledger.record(b.seq)
+		r.ledger[b.seq] = struct{}{}
 	}
 	if r.recoverNote != nil {
 		r.recoverNote()
 		r.recoverNote = nil
 	}
-	if r.onDeliver != nil {
-		r.onDeliver(b)
+	if r.spec.OnDeliver != nil {
+		r.spec.OnDeliver(b)
 	}
 	r.received++
-	p.Kernel().Trace("datacutter", "buffer-in", int64(b.Size), r.name)
+	p.Kernel().Trace("datacutter", "buffer-in", int64(b.Size), r.spec.Name)
 	hpsmon.Count(p.Kernel(), "datacutter", "buffers.in", 1)
 	hpsmon.Count(p.Kernel(), "datacutter", "bytes.in", int64(b.Size))
-	hpsmon.FlowRecv(p, r.name, b.UOW, b.Tag)
+	hpsmon.FlowRecv(p, r.spec.Name, b.UOW, b.Tag)
 	r.returnCredit(p, b)
 	r.ack(p, b)
 }
@@ -1166,14 +1106,8 @@ func (r *StreamReader) deliver(p *sim.Proc, b *Buffer) {
 // ack acknowledges a buffer to its producer when the stream's policy
 // calls for acks.
 func (r *StreamReader) ack(p *sim.Proc, b *Buffer) {
-	if (r.policy == DemandDriven || r.acks) && b.src != nil && !b.src.dead {
-		hdr := make([]byte, headerSize)
-		putHeader(hdr, wireAck, 0, b.UOW, 0, 0)
-		if err := b.src.conn.Send(p, hdr); err != nil {
-			// The producer is unreachable; it will fail this copy over
-			// on its own side. Mark the conn so later acks are skipped.
-			b.src.dead = true
-		}
+	if r.spec.acked() {
+		r.sendReverse(p, b, wireAck)
 	}
 }
 
@@ -1181,12 +1115,21 @@ func (r *StreamReader) ack(p *sim.Proc, b *Buffer) {
 // producer. Credits return when the buffer leaves the inbox — whether
 // into the filter or shed — so the window never leaks.
 func (r *StreamReader) returnCredit(p *sim.Proc, b *Buffer) {
-	if r.creditWindow <= 0 || b.src == nil || b.src.dead {
+	if r.spec.CreditWindow > 0 {
+		r.sendReverse(p, b, wireCredit)
+	}
+}
+
+// sendReverse sends a reverse-path message on a buffer's connection.
+func (r *StreamReader) sendReverse(p *sim.Proc, b *Buffer, kind uint8) {
+	if b.src == nil || b.src.dead {
 		return
 	}
 	hdr := make([]byte, headerSize)
-	putHeader(hdr, wireCredit, 0, b.UOW, 0, 0)
+	putHeader(hdr, kind, 0, b.UOW, 0, 0)
 	if err := b.src.conn.Send(p, hdr); err != nil {
+		// The producer is unreachable; it will fail this copy over
+		// on its own side. Mark the conn so later acks are skipped.
 		b.src.dead = true
 	}
 }
@@ -1195,38 +1138,37 @@ func (r *StreamReader) returnCredit(p *sim.Proc, b *Buffer) {
 // credit.
 func (r *StreamReader) shedBuf(p *sim.Proc, b *Buffer, cause ShedCause) {
 	r.shed[cause]++
-	p.Kernel().Trace("datacutter", "shed", int64(b.Size), r.name)
+	p.Kernel().Trace("datacutter", "shed", int64(b.Size), r.spec.Name)
 	switch cause {
 	case ShedOldest:
 		hpsmon.Count(p.Kernel(), "datacutter", "shed.oldest", 1)
-		hpsmon.Instant(p, "datacutter", "shed-oldest", r.name)
+		hpsmon.Instant(p, "datacutter", "shed-oldest", r.spec.Name)
 	case ShedNewest:
 		hpsmon.Count(p.Kernel(), "datacutter", "shed.newest", 1)
-		hpsmon.Instant(p, "datacutter", "shed-newest", r.name)
+		hpsmon.Instant(p, "datacutter", "shed-newest", r.spec.Name)
 	case ShedLost:
 		hpsmon.Count(p.Kernel(), "datacutter", "shed.lost", 1)
-		hpsmon.Instant(p, "datacutter", "shed-lost", r.name)
+		hpsmon.Instant(p, "datacutter", "shed-lost", r.spec.Name)
 	default:
 		hpsmon.Count(p.Kernel(), "datacutter", "shed.stale", 1)
-		hpsmon.Instant(p, "datacutter", "shed-stale", r.name)
+		hpsmon.Instant(p, "datacutter", "shed-stale", r.spec.Name)
 	}
-	if r.onShed != nil {
-		r.onShed(b, cause)
+	if r.spec.OnShed != nil {
+		r.spec.OnShed(b, cause)
 	}
 	r.returnCredit(p, b)
 }
 
 // admit places an arriving data buffer into the given inbox under the
 // stream's shed policy. Control markers always use a blocking put:
-// they are never shed. The inbox is passed explicitly because each
-// incarnation of a restarted copy owns a fresh one — a stale
-// connection keeps feeding the inbox it was spawned against, whose
-// closure swallows the put.
-func (r *StreamReader) admit(p *sim.Proc, inbox *sim.Queue[inboxItem], item inboxItem) {
-	switch r.shedPolicy {
+// they are never shed. The inbox is passed explicitly because a stale
+// connection keeps feeding the incarnation it was started under.
+func (r *StreamReader) admit(p *sim.Proc, inbox *sim.Queue[inboxItem], buf *Buffer) {
+	item := inboxItem{kind: itemData, buf: buf}
+	switch r.spec.Shed {
 	case DropOldest:
 		for !inbox.TryPut(item) {
-			old, ok := inbox.Evict(func(it inboxItem) bool { return it.buf != nil })
+			old, ok := inbox.Evict(func(it inboxItem) bool { return it.kind == itemData })
 			if !ok {
 				// Only control markers are buffered; wait for space.
 				inbox.Put(p, item)
@@ -1238,117 +1180,107 @@ func (r *StreamReader) admit(p *sim.Proc, inbox *sim.Queue[inboxItem], item inbo
 		// Wait at most the buffer's remaining deadline budget for a
 		// slot; without a deadline the put is non-blocking.
 		var wait sim.Time
-		if item.buf.Deadline > 0 {
-			wait = item.buf.Deadline - p.Now()
+		if buf.Deadline > 0 {
+			wait = buf.Deadline - p.Now()
 		}
 		if !inbox.PutTimeout(p, item, wait) {
-			r.shedBuf(p, item.buf, ShedNewest)
+			r.shedBuf(p, buf, ShedNewest)
 		}
 	default:
 		inbox.Put(p, item)
 	}
 }
 
-// AckLatencies returns the recorded send-to-ack latencies for one
-// target copy (requires StreamSpec.RecordAckLatency).
-func (w *StreamWriter) AckLatencies(target int) []sim.Time {
-	return w.targets[target].ackLatencies
-}
-
-// connReaderLoop parses one inbound connection into the shared inbox.
-// A clean EOF (the producer closed after its final end-of-work marker)
-// just retires the connection; a broken transport or a garbled header
-// (possible under injected corruption) additionally enqueues a lost
-// marker so the reader stops expecting end-of-work markers from this
-// producer. On redial-armed streams a replacement connection announces
-// itself with a rejoin marker first, and conn termination never closes
-// the shared inbox (lost markers carry the accounting instead).
-func (r *StreamReader) connReaderLoop(sc *streamConn, closed func(), rejoin bool) func(p *sim.Proc) {
+// connReaderLoop parses one inbound connection into the inbox of the
+// reader's current incarnation. A clean EOF (the producer closed after
+// its final end-of-work marker) just retires the connection; a broken
+// transport or a garbled header (possible under injected corruption)
+// additionally enqueues a lost marker so the reader stops expecting
+// end-of-work markers from this producer. On redial-armed streams a
+// replacement connection announces itself with a rejoin marker first,
+// and conn termination never closes the shared inbox (lost markers
+// carry the accounting instead); otherwise the inbox closes with the
+// last connection.
+func (r *StreamReader) connReaderLoop(sc *inbound) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
-		// Pin this connection to the incarnation it was spawned
-		// against: a restart replaces r.inbox, and a stale connection's
-		// markers must not leak into the new incarnation's accounting.
-		// Puts on the old inbox are swallowed by its closure.
-		inbox := r.inbox
-		if rejoin {
-			inbox.Put(p, inboxItem{rejoin: true})
+		inc := r.incarnation
+		inbox := inc.inbox
+		if inc.wired > 0 {
+			inc.wired--
+		} else {
+			inbox.Put(p, inboxItem{kind: itemRejoin})
 		}
-		lost := func(p *sim.Proc) {
-			sc.dead = true
-			// Tear the connection down fully: a half-open connection
-			// (consumer timed out, producer side still healthy) would
-			// let the producer keep sending into a void — the close
-			// surfaces as a send/ack error over there and triggers
-			// failover, so the in-flight buffers are re-dispatched
-			// instead of silently vanishing.
-			sc.conn.Close(p)
-			inbox.Put(p, inboxItem{lost: true})
-			if !r.redial {
-				closed()
+		// On a redial-armed stream even a clean close — orderly shutdown
+		// or failover teardown — means the producer is gone: the lost
+		// marker makes the reader stop expecting its end-of-work markers
+		// (a rejoin restores the count), or a sink waiting on a
+		// failed-over connection would park forever.
+		retire := func(p *sim.Proc, broken bool) {
+			lost := broken || r.spec.RedialAttempts > 0
+			if lost {
+				sc.dead = true
+			}
+			if broken {
+				// Tear the connection down fully: a half-open connection
+				// (consumer timed out, producer side still healthy) would
+				// let the producer keep sending into a void — the close
+				// surfaces as a send/ack error over there and triggers
+				// failover, so the in-flight buffers are re-dispatched
+				// instead of silently vanishing.
+				sc.conn.Close(p)
+			}
+			if lost {
+				inbox.Put(p, inboxItem{kind: itemLost})
+			}
+			if r.spec.RedialAttempts <= 0 {
+				if inc.open--; inc.open == 0 {
+					inbox.Close()
+				}
 			}
 		}
-		hdr := make([]byte, r.hdrSize())
+		hdr := make([]byte, r.spec.hdrSize())
 		var scratch [32 * 1024]byte
 		for {
 			if _, err := sc.conn.RecvFull(p, hdr); err != nil {
-				if errors.Is(err, io.EOF) {
-					if r.redial {
-						// The producer closed this connection — orderly
-						// shutdown or failover teardown. Either way it is
-						// gone: post the lost marker so the reader stops
-						// expecting its end-of-work markers (a rejoin
-						// restores the count), or a sink waiting on a
-						// failed-over connection would park forever.
-						sc.dead = true
-						inbox.Put(p, inboxItem{lost: true})
-					} else {
-						closed()
-					}
-				} else {
-					lost(p)
-				}
+				retire(p, !errors.Is(err, io.EOF))
 				return
 			}
 			kind, flags, uow, size, tag := parseHeader(hdr)
 			switch kind {
 			case wireEOW:
-				inbox.Put(p, inboxItem{eow: true, uow: uow})
+				inbox.Put(p, inboxItem{kind: itemEOW, uow: uow})
 			case wireResync:
-				inbox.Put(p, inboxItem{resync: true, uow: uow})
+				inbox.Put(p, inboxItem{kind: itemResync, uow: uow})
 			case wireData:
 				buf := &Buffer{UOW: uow, Size: size, Tag: tag, src: sc}
-				if r.deadlines {
+				if r.spec.Deadlines {
 					buf.Deadline = parseDeadline(hdr)
 					buf.Degraded = flags&flagDegraded != 0
 				}
-				if r.exactlyOnce {
+				if r.ledger != nil {
 					buf.seq = parseSeq(hdr)
 				}
 				if flags&flagReal != 0 {
 					buf.Data = make([]byte, size)
 					if _, err := sc.conn.RecvFull(p, buf.Data); err != nil {
-						lost(p)
+						retire(p, true)
 						return
 					}
 				} else {
 					remaining := size
 					for remaining > 0 {
-						n := remaining
-						if n > len(scratch) {
-							n = len(scratch)
-						}
-						m, err := sc.conn.RecvFull(p, scratch[:n])
+						m, err := sc.conn.RecvFull(p, scratch[:min(remaining, len(scratch))])
 						remaining -= m
 						if err != nil {
-							lost(p)
+							retire(p, true)
 							return
 						}
 					}
 				}
-				r.admit(p, inbox, inboxItem{buf: buf})
+				r.admit(p, inbox, buf)
 			default:
-				p.Kernel().Trace("datacutter", "garbled-header", 0, r.name)
-				lost(p)
+				p.Kernel().Trace("datacutter", "garbled-header", 0, r.spec.Name)
+				retire(p, true)
 				return
 			}
 		}

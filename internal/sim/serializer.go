@@ -35,19 +35,6 @@ func NewSerializer(k *Kernel) *Serializer {
 // DESIGN.md §15.
 func (s *Serializer) SetLabel(label string) { s.label = label }
 
-// FreeAt reports the virtual time at which the resource is (or will
-// become) free: the start time the next arrival would get.
-func (s *Serializer) FreeAt() Time {
-	if s.horizon < s.k.now {
-		return s.k.now
-	}
-	return s.horizon
-}
-
-// Busy reports whether the resource is occupied at the current
-// instant.
-func (s *Serializer) Busy() bool { return s.horizon > s.k.now }
-
 // book occupies the resource for hold starting as soon as it is free
 // and returns the time its user is done: the release time plus post.
 func (s *Serializer) book(hold, post Time) Time {
