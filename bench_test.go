@@ -5,7 +5,9 @@
 // at reduced (Quick) repetition counts and reports its headline metric
 // via b.ReportMetric; `go run ./cmd/figures` produces the full-scale
 // tables. Simulated time is deterministic, so a single iteration is a
-// complete, reproducible measurement.
+// complete, reproducible measurement. The pipeline figures build their
+// Options inside the loop: a fresh QuickOptions starts with a cold
+// pipeline cell cache, so every iteration measures real runs.
 package repro_test
 
 import (
@@ -46,10 +48,9 @@ func BenchmarkFig4bBandwidth(b *testing.B) {
 // benchFig7 reports the latency improvement of repartitioned SocketVIA
 // over TCP at the paper's highest TCP-feasible update guarantee.
 func benchFig7(b *testing.B, compute bool) {
-	o := quick()
 	var tcpUS, drUS float64
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig7(o, compute)
+		t := experiments.Fig7(quick(), compute)
 		// Find the first target where TCP has a point.
 		for xi := range t.X {
 			if !isNaN(t.Series[0].Y[xi]) {
@@ -74,10 +75,9 @@ func BenchmarkFig7bLatencyUnderUpdateGuarantee(b *testing.B) { benchFig7(b, true
 
 // benchFig8 reports the update rates at the loosest latency guarantee.
 func benchFig8(b *testing.B, compute bool) {
-	o := quick()
 	var tcp, dr float64
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig8(o, compute)
+		t := experiments.Fig8(quick(), compute)
 		tcp, dr = t.Series[0].Y[0], t.Series[2].Y[0]
 	}
 	b.ReportMetric(tcp, "tcp_ups")
@@ -93,10 +93,9 @@ func BenchmarkFig8bUpdatesUnderLatencyGuarantee(b *testing.B) { benchFig8(b, tru
 // benchFig9 reports the response times at a 50/50 query mix with 64
 // partitions.
 func benchFig9(b *testing.B, compute bool) {
-	o := quick()
 	var tcpMS, svMS float64
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig9(o, compute)
+		t := experiments.Fig9(quick(), compute)
 		// Series order: sv noparts, sv 8, sv 64, tcp noparts, tcp 8, tcp 64.
 		mid := len(t.X) / 2
 		svMS, tcpMS = t.Series[2].Y[mid], t.Series[5].Y[mid]

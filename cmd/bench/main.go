@@ -761,11 +761,10 @@ func (benchRecoverySink) Finalize(*datacutter.Context) error { return nil }
 
 // runQuickFigures regenerates the same figure set as `figures -quick`
 // (every paper figure; the fault family is opt-in there and timed
-// figure runs match that default), discarding the tables. The memo
-// shared by the Figure 7/8 searches is cleared first so every timed
-// run starts cold, as a fresh `figures` process would.
+// figure runs match that default), discarding the tables. Pass a
+// fresh QuickOptions per timed run: its pipeline cell cache starts
+// cold, as a fresh `figures` process would.
 func runQuickFigures(o experiments.Options) {
-	experiments.ResetPipelineMemo()
 	experiments.Micro(o)
 	experiments.Fig2Crossover(o)
 	experiments.Fig4aLatency(o)

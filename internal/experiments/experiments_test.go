@@ -135,6 +135,9 @@ func TestFig9Shapes(t *testing.T) {
 	o := QuickOptions()
 	o.MixQueries = 4
 	o.ImageBytes = 4 << 20
+	mixResponse := func(o Options, kind core.Kind, compute bool, parts int, frac float64) float64 {
+		return o.runCells([]pipeCell{o.mixCell(kind, compute, parts, frac)})[0].MeanResponse().Millis()
+	}
 	// No partitioning: response independent of the mix.
 	flat0 := mixResponse(o, core.KindTCP, false, 1, 0)
 	flat1 := mixResponse(o, core.KindTCP, false, 1, 1)

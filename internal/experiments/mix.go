@@ -20,32 +20,22 @@ var fig9Partitions = []int{1, 8, 64}
 // zoomChunks is the number of data chunks a zoom query retrieves.
 const zoomChunks = 4
 
-// mixResponse runs one query-mix point sequentially and returns the
-// mean response time in milliseconds.
-func mixResponse(o Options, kind core.Kind, compute bool, partitions int, frac float64) float64 {
+// mixCell is one query-mix point, run sequentially. It is left
+// uncollected: observers see only the Figure 7/8 cells.
+func (o Options) mixCell(kind core.Kind, compute bool, partitions int, frac float64) pipeCell {
 	block := o.ImageBytes / partitions
 	cfg := o.pipeConfig(kind, block, compute, true)
 	mix := workload.Mix(o.Seed, o.MixQueries, frac, workload.Zoom)
 	queries := make([]vizapp.Query, len(mix))
 	for i, q := range mix {
-		switch q {
-		case workload.Complete:
-			queries[i] = cfg.CompleteQuery()
-		default:
-			// Without partitioning a query has to access the entire
-			// data; otherwise a zoom touches four chunks.
-			if partitions == 1 {
-				queries[i] = cfg.CompleteQuery()
-			} else {
-				queries[i] = cfg.ZoomQuery(zoomChunks)
-			}
+		// Without partitioning a query has to access the entire data;
+		// otherwise a zoom touches four chunks.
+		queries[i] = cfg.CompleteQuery()
+		if q != workload.Complete && partitions > 1 {
+			queries[i] = cfg.ZoomQuery(zoomChunks)
 		}
 	}
-	res := vizapp.RunPipeline(cfg, queries)
-	if res.Err != nil {
-		panic("experiments: mix run failed: " + res.Err.Error())
-	}
-	return res.MeanResponse().Millis()
+	return pipeCell{cfg: cfg, queries: queries}
 }
 
 // Fig9 reproduces Figure 9: average response time versus the fraction
@@ -63,27 +53,32 @@ func Fig9(o Options, compute bool) *stats.Table {
 		XFmt:   "%.1f",
 		X:      fig9Fractions,
 	}
-	// Cell grid: (kind, partitioning, fraction). Each cell is one
-	// sequential pipeline run in its own world; series are assembled
-	// afterwards in the fixed legend order.
+	// Cell grid: (kind, partitioning, fraction), in the fixed legend
+	// order. Many points share their whole input (every unpartitioned
+	// point, and fractions that round to the same complete-query
+	// count); the cell cache runs each distinct one once.
 	kinds := []core.Kind{core.KindSocketVIA, core.KindTCP}
-	nf, np := len(fig9Fractions), len(fig9Partitions)
-	ys := make([][]float64, len(kinds)*np)
-	for i := range ys {
-		ys[i] = make([]float64, nf)
+	var cells []pipeCell
+	for _, kind := range kinds {
+		for _, parts := range fig9Partitions {
+			for _, frac := range fig9Fractions {
+				cells = append(cells, o.mixCell(kind, compute, parts, frac))
+			}
+		}
 	}
-	o.parMap(len(kinds)*np*nf, func(i int) {
-		series, f := i/nf, i%nf
-		kind, parts := kinds[series/np], fig9Partitions[series%np]
-		ys[series][f] = mixResponse(o, kind, compute, parts, fig9Fractions[f])
-	})
-	for ki, kind := range kinds {
-		for pi, parts := range fig9Partitions {
+	res := o.runCells(cells)
+	for _, kind := range kinds {
+		for _, parts := range fig9Partitions {
+			ys := make([]float64, len(fig9Fractions))
+			for f := range ys {
+				ys[f] = res[0].MeanResponse().Millis()
+				res = res[1:]
+			}
 			label := fmt.Sprintf("%dparts_%s_ms", parts, kind)
 			if parts == 1 {
 				label = fmt.Sprintf("noparts_%s_ms", kind)
 			}
-			t.AddSeries(label, ys[ki*np+pi])
+			t.AddSeries(label, ys)
 		}
 	}
 	return t

@@ -51,18 +51,19 @@ type Options struct {
 	// canonical order.
 	Workers int
 	// Telemetry, when non-nil, collects per-cell hpsmon metrics from
-	// every pipeline measurement into the set. Enabling it forces the
-	// full measurement grid to be computed (even at Workers <= 1), so
-	// the collected cell set — and the rendered export — is identical
-	// at any worker count.
+	// every rate and latency pipeline cell the run computes into the
+	// set.
 	Telemetry *hpsmon.Set
 	// Profile, when non-nil, attaches a park ledger and a
-	// span-collecting collector to every pipeline measurement cell and
-	// adopts the resulting profile (park/dispatch attribution +
-	// virtual-time critical path) into the set. Like Telemetry it
-	// forces the full measurement grid, so the report is identical at
-	// any worker count.
+	// span-collecting collector to every rate and latency pipeline
+	// cell the run computes and adopts the resulting profile
+	// (park/dispatch attribution + virtual-time critical path) into
+	// the set.
 	Profile *profile.Set
+
+	// cells caches pipeline results for every copy of the Options
+	// that DefaultOptions or QuickOptions returned.
+	cells *cellCache
 }
 
 // parMap fans the n independent cells of one figure across o.Workers
@@ -90,6 +91,7 @@ func DefaultOptions() Options {
 		MicroMsgs:  150,
 		LBBytes:    16 << 20,
 		Seed:       42,
+		cells:      newCellCache(),
 	}
 }
 

@@ -13,20 +13,81 @@ import (
 	"hpsockets/internal/vizapp"
 )
 
-// pipeKey memoizes pipeline measurements: the rate and latency tables
-// are shared between the Figure 7 and Figure 8 searches.
-type pipeKey struct {
-	kind    core.Kind
-	compute bool
-	block   int
-	image   int
+// pipeCell is one pipeline measurement: the whole input of
+// vizapp.RunPipeline, plus the name its observability cell is filed
+// under ("" leaves the cell uncollected).
+type pipeCell struct {
+	cfg     vizapp.PipelineConfig
+	queries []vizapp.Query
+	name    string
 }
 
-var (
-	memoMu   sync.Mutex
-	rateMemo = map[pipeKey]float64{}
-	latMemo  = map[pipeKey]sim.Time{}
-)
+// key renders the cell's whole input. The hook is observability, not
+// input: two cells that differ only in it compute the same result.
+func (c pipeCell) key() string {
+	cfg := c.cfg
+	cfg.Hook = nil
+	return fmt.Sprintf("%#v|%v", cfg, c.queries)
+}
+
+// cellCache holds the pipeline results of one run. DefaultOptions
+// creates it and every copy of that Options value shares it, so a
+// figure reuses the cells an earlier figure of the same run computed,
+// while a fresh Options starts cold. Results are pure functions of the
+// key, so filling the cache in any order and at any worker count
+// cannot change a value read from it.
+type cellCache struct {
+	mu   sync.Mutex
+	res  map[string]vizapp.Result
+	runs int // pipelines run to fill res
+}
+
+func newCellCache() *cellCache { return &cellCache{res: map[string]vizapp.Result{}} }
+
+// runCells returns the pipeline result of every cell in input order.
+// Duplicate and already-cached inputs are dropped before the rest fan
+// out across the workers, so each distinct input runs once per run.
+func (o Options) runCells(cells []pipeCell) []vizapp.Result {
+	cache := o.cells
+	keys := make([]string, len(cells))
+	var todo []int
+	queued := map[string]bool{}
+	cache.mu.Lock()
+	for i, c := range cells {
+		keys[i] = c.key()
+		if _, ok := cache.res[keys[i]]; !ok && !queued[keys[i]] {
+			queued[keys[i]] = true
+			todo = append(todo, i)
+		}
+	}
+	cache.mu.Unlock()
+
+	fresh := make([]vizapp.Result, len(todo))
+	o.parMap(len(todo), func(j int) { fresh[j] = o.runCell(cells[todo[j]]) })
+
+	out := make([]vizapp.Result, len(cells))
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	cache.runs += len(todo)
+	for j, i := range todo {
+		cache.res[keys[i]] = fresh[j]
+	}
+	for i, k := range keys {
+		out[i] = cache.res[k]
+	}
+	return out
+}
+
+// runCell runs one pipeline cell, instrumented when it is named.
+func (o Options) runCell(c pipeCell) vizapp.Result {
+	col, prof := o.instrumentCell(c.name, &c.cfg)
+	res := vizapp.RunPipeline(c.cfg, c.queries)
+	if res.Err != nil {
+		panic("experiments: pipeline run failed: " + res.Err.Error())
+	}
+	o.adoptCell(col, prof)
+	return res
+}
 
 func (o Options) pipeConfig(kind core.Kind, block int, compute, sequential bool) vizapp.PipelineConfig {
 	cfg := vizapp.DefaultPipelineConfig(kind, block)
@@ -39,80 +100,61 @@ func (o Options) pipeConfig(kind core.Kind, block int, compute, sequential bool)
 	return cfg
 }
 
+// repeat returns q n times.
+func repeat(q vizapp.Query, n int) []vizapp.Query {
+	qs := make([]vizapp.Query, n)
+	for i := range qs {
+		qs[i] = q
+	}
+	return qs
+}
+
+// cellName is the observability name of a rate or latency cell.
+func cellName(measure string, kind core.Kind, compute bool, block int) string {
+	c := "nc"
+	if compute {
+		c = "lc"
+	}
+	return fmt.Sprintf("pipe/%s/%s/%s/b%d", measure, kind, c, block)
+}
+
+// rateCell is a steady-state throughput run: back-to-back complete
+// updates at one distribution block size.
+func (o Options) rateCell(kind core.Kind, compute bool, block int) pipeCell {
+	cfg := o.pipeConfig(kind, block, compute, false)
+	return pipeCell{cfg, repeat(cfg.CompleteQuery(), o.ThroughputQueries), cellName("rate", kind, compute, block)}
+}
+
+// latCell is a sequential stream of one-block partial updates at one
+// block size.
+func (o Options) latCell(kind core.Kind, compute bool, block int) pipeCell {
+	cfg := o.pipeConfig(kind, block, compute, true)
+	return pipeCell{cfg, repeat(vizapp.PartialQuery(), o.LatencyQueries), cellName("lat", kind, compute, block)}
+}
+
 // UpdateRate measures the steady-state complete-update rate (full
 // updates per second) of the pipeline at one distribution block size.
 func UpdateRate(o Options, kind core.Kind, compute bool, block int) float64 {
-	key := pipeKey{kind, compute, block, o.ImageBytes}
-	memoMu.Lock()
-	if v, ok := rateMemo[key]; ok {
-		memoMu.Unlock()
-		return v
-	}
-	memoMu.Unlock()
-	cfg := o.pipeConfig(kind, block, compute, false)
-	col, cell := o.instrumentCell("rate", kind, compute, block, &cfg)
-	queries := make([]vizapp.Query, o.ThroughputQueries)
-	for i := range queries {
-		queries[i] = cfg.CompleteQuery()
-	}
-	res := vizapp.RunPipeline(cfg, queries)
-	if res.Err != nil {
-		panic("experiments: rate run failed: " + res.Err.Error())
-	}
-	o.adoptCell(col, cell)
-	v := res.UpdatesPerSec()
-	memoMu.Lock()
-	rateMemo[key] = v
-	memoMu.Unlock()
-	return v
+	return o.runCells([]pipeCell{o.rateCell(kind, compute, block)})[0].UpdatesPerSec()
 }
 
 // PartialLatency measures the mean response time of a sequential
 // stream of one-block partial updates at one block size.
 func PartialLatency(o Options, kind core.Kind, compute bool, block int) sim.Time {
-	key := pipeKey{kind, compute, block, o.ImageBytes}
-	memoMu.Lock()
-	if v, ok := latMemo[key]; ok {
-		memoMu.Unlock()
-		return v
-	}
-	memoMu.Unlock()
-	cfg := o.pipeConfig(kind, block, compute, true)
-	col, cell := o.instrumentCell("lat", kind, compute, block, &cfg)
-	queries := make([]vizapp.Query, o.LatencyQueries)
-	for i := range queries {
-		queries[i] = vizapp.PartialQuery()
-	}
-	res := vizapp.RunPipeline(cfg, queries)
-	if res.Err != nil {
-		panic("experiments: latency run failed: " + res.Err.Error())
-	}
-	o.adoptCell(col, cell)
-	v := res.MeanResponse()
-	memoMu.Lock()
-	latMemo[key] = v
-	memoMu.Unlock()
-	return v
+	return o.runCells([]pipeCell{o.latCell(kind, compute, block)})[0].MeanResponse()
 }
 
-// instrumentCell builds the observability state for one measurement
-// cell and hooks it into the cell's pipeline config: a telemetry
-// collector when Telemetry is on, a profile cell (park ledger + span
-// DAG) when Profile is on, both nil (and no hook) when both are off.
-// The cell name encodes the full memo key, so every computed grid
-// point lands in a distinct, canonically named slot of its set. With
-// both enabled the views share one collector: span collection only
-// appends to the span/flow logs, so the rendered metrics tables are
-// byte-identical with or without -profile.
-func (o Options) instrumentCell(measure string, kind core.Kind, compute bool, block int, cfg *vizapp.PipelineConfig) (*hpsmon.Collector, *profile.Cell) {
-	if o.Telemetry == nil && o.Profile == nil {
+// instrumentCell builds the observability state for the named cell and
+// hooks it into the cell's pipeline config: a telemetry collector when
+// Telemetry is on, a profile cell (park ledger + span DAG) when
+// Profile is on, both nil (and no hook) when both are off or the cell
+// is unnamed. With both enabled the views share one collector: span
+// collection only appends to the span/flow logs, so the rendered
+// metrics tables are byte-identical with or without -profile.
+func (o Options) instrumentCell(name string, cfg *vizapp.PipelineConfig) (*hpsmon.Collector, *profile.Cell) {
+	if name == "" || (o.Telemetry == nil && o.Profile == nil) {
 		return nil, nil
 	}
-	c := "nc"
-	if compute {
-		c = "lc"
-	}
-	name := fmt.Sprintf("pipe/%s/%s/%s/b%d", measure, kind, c, block)
 	col := hpsmon.NewCollector(name, hpsmon.Options{Spans: o.Profile != nil})
 	if o.Profile == nil {
 		cfg.Hook = col.Attach
@@ -141,44 +183,19 @@ func (o Options) adoptCell(col *hpsmon.Collector, cell *profile.Cell) {
 	}
 }
 
-// ResetPipelineMemo clears the process-wide rate/latency memo. Only
-// measurement harnesses (cmd/bench) need it: back-to-back timed figure
-// runs in one process would otherwise let the later runs read the
-// first run's cache and report fictitious speedups.
-func ResetPipelineMemo() {
-	memoMu.Lock()
-	rateMemo = map[pipeKey]float64{}
-	latMemo = map[pipeKey]sim.Time{}
-	memoMu.Unlock()
-}
-
-// warmPipelineMemo fills the rate and latency memos for every ladder
-// block of both transports as parallel cells, so the sequential
-// threshold searches in Fig7 and Fig8 become pure lookups. The memos
-// cache pure functions of their key, so filling them eagerly and in
-// any order cannot change a value the searches read: the emitted
-// tables are byte-identical to the cold sequential run, which computes
-// a subset of the same grid lazily.
-func warmPipelineMemo(o Options, compute bool) {
-	// With telemetry or profiling on, the warm pass runs even
-	// sequentially: it pins the set of computed (and therefore
-	// collected) cells to the full grid, so the exports are identical
-	// at any worker count — the lazy sequential searches alone would
-	// compute only a subset.
-	if o.Workers <= 1 && o.Telemetry == nil && o.Profile == nil {
-		return
-	}
-	kinds := []core.Kind{core.KindTCP, core.KindSocketVIA}
-	n := len(kinds) * len(o.BlockLadder)
-	o.parMap(2*n, func(i int) {
-		kind := kinds[(i%n)/len(o.BlockLadder)]
-		block := o.BlockLadder[i%len(o.BlockLadder)]
-		if i < n {
-			UpdateRate(o, kind, compute, block)
-		} else {
-			PartialLatency(o, kind, compute, block)
+// measureLadder runs the full ladder grid (rate and latency, both
+// transports, every ladder block) through the cell cache, so the
+// threshold searches after it are cache reads. The grid is the same at
+// every worker count and with or without observers, and so is the
+// collected cell set.
+func (o Options) measureLadder(compute bool) {
+	var cells []pipeCell
+	for _, kind := range []core.Kind{core.KindTCP, core.KindSocketVIA} {
+		for _, b := range o.BlockLadder {
+			cells = append(cells, o.rateCell(kind, compute, b), o.latCell(kind, compute, b))
 		}
-	})
+	}
+	o.runCells(cells)
 }
 
 // minBlockForRate finds the smallest ladder block size whose pipeline
@@ -233,7 +250,7 @@ func Fig7(o Options, compute bool) *stats.Table {
 	}
 	targets := fig7Targets(compute)
 	t.X = targets
-	warmPipelineMemo(o, compute)
+	o.measureLadder(compute)
 	maxBlock := o.BlockLadder[len(o.BlockLadder)-1]
 	var tcpY, svY, drY []float64
 	for _, target := range targets {
@@ -285,7 +302,7 @@ func Fig8(o Options, compute bool) *stats.Table {
 	for _, l := range targets {
 		t.X = append(t.X, l.Micros())
 	}
-	warmPipelineMemo(o, compute)
+	o.measureLadder(compute)
 	minBlock := o.BlockLadder[0]
 	var tcpY, svY, drY []float64
 	for _, l := range targets {

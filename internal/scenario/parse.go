@@ -1,10 +1,7 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -35,34 +32,16 @@ func (n *node) pos(k string) (int, int) {
 	return n.line, n.col
 }
 
-// Parse reads one scenario file. data whose first significant byte is
-// '{' is parsed as JSON; everything else as the strict YAML subset.
-// The returned error is a *ParseError for malformed syntax or a
+// Parse reads one scenario file in the strict YAML subset. The
+// returned error is a *ParseError for malformed syntax or a
 // *SemanticError for a well-formed file describing an invalid
 // scenario.
 func Parse(name string, data []byte) (*File, error) {
-	var root *node
-	var err error
-	if firstSignificantByte(data) == '{' {
-		root, err = jsonTree(name, data)
-	} else {
-		root, err = yamlTree(name, data)
-	}
+	root, err := yamlTree(name, data)
 	if err != nil {
 		return nil, err
 	}
 	return bind(name, root)
-}
-
-func firstSignificantByte(data []byte) byte {
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		return b
-	}
-	return 0
 }
 
 // ---- YAML-subset front end ----
@@ -286,7 +265,7 @@ func (p *yparser) splitKey(l line, col int, text string) (key, val string, ok bo
 		return "", "", false, nil
 	}
 	key = text[:i]
-	if key == "" || strings.ContainsAny(key, " \"[]") {
+	if key == "" || strings.ContainsAny(key, " \"[]{}") {
 		return "", "", false, nil
 	}
 	rest := text[i+1:]
@@ -366,101 +345,4 @@ func unquote(s string) (string, error) {
 		}
 	}
 	return b.String(), nil
-}
-
-// ---- JSON front end ----
-
-// jsonTree parses a JSON document into the same node shape. JSON
-// carries no line information through encoding/json, so nodes get the
-// position of the document start; syntax errors are located from the
-// decoder offset.
-func jsonTree(name string, data []byte) (*node, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		l, c := offsetPos(data, syntaxOffset(err))
-		return nil, &ParseError{File: name, Line: l, Col: c, Msg: err.Error()}
-	}
-	if dec.More() {
-		l, c := offsetPos(data, dec.InputOffset())
-		return nil, &ParseError{File: name, Line: l, Col: c, Msg: "trailing data after document"}
-	}
-	return jsonNode(name, v)
-}
-
-func syntaxOffset(err error) int64 {
-	if se, ok := err.(*json.SyntaxError); ok {
-		return se.Offset
-	}
-	if ue, ok := err.(*json.UnmarshalTypeError); ok {
-		return ue.Offset
-	}
-	return 0
-}
-
-func offsetPos(data []byte, off int64) (int, int) {
-	if off < 1 {
-		return 1, 1
-	}
-	line, col := 1, 1
-	for i := int64(0); i < off-1 && i < int64(len(data)); i++ {
-		if data[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return line, col
-}
-
-func jsonNode(name string, v any) (*node, error) {
-	switch v := v.(type) {
-	case map[string]any:
-		n := &node{line: 1, col: 1, started: true,
-			vals: map[string]*node{}, keyPos: map[string][2]int{}}
-		n.keys = sortedJSONKeys(v)
-		for _, k := range n.keys {
-			child, err := jsonNode(name, v[k])
-			if err != nil {
-				return nil, err
-			}
-			n.vals[k] = child
-		}
-		return n, nil
-	case []any:
-		n := &node{line: 1, col: 1, started: true, isSeq: true,
-			vals: map[string]*node{}, keyPos: map[string][2]int{}}
-		for _, item := range v {
-			child, err := jsonNode(name, item)
-			if err != nil {
-				return nil, err
-			}
-			n.items = append(n.items, child)
-		}
-		return n, nil
-	case string:
-		return &node{line: 1, col: 1, isScal: true, scalar: v}, nil
-	case json.Number:
-		return &node{line: 1, col: 1, isScal: true, scalar: v.String()}, nil
-	case bool:
-		return &node{line: 1, col: 1, isScal: true, scalar: fmt.Sprintf("%v", v)}, nil
-	case nil:
-		return nil, &ParseError{File: name, Line: 1, Col: 1, Msg: "null has no scenario meaning"}
-	default:
-		return nil, &ParseError{File: name, Line: 1, Col: 1,
-			Msg: fmt.Sprintf("unsupported JSON value %T", v)}
-	}
-}
-
-// sortedJSONKeys orders a JSON object's keys deterministically (JSON
-// objects are unordered; the binder does not care about key order).
-func sortedJSONKeys(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

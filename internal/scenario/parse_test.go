@@ -103,52 +103,6 @@ func TestParseHappyYAML(t *testing.T) {
 	}
 }
 
-// TestParseJSONEquivalence: the JSON front end binds to the same File
-// (canonical marshal bytes are identical).
-func TestParseJSONEquivalence(t *testing.T) {
-	jsonDoc := `{
-  "version": 1, "name": "json-twin", "seed": 3,
-  "fleet": {"copies": 1},
-  "workload": {"transport": "tcp", "uows": 2},
-  "links": [{"from": "src", "to": "cons0", "latency": "100us", "loss": 0.5}],
-  "events": [{"at": "1ms", "action": "slowdown", "node": "cons0", "factor": 2}],
-  "assertions": [{"invariant": "accounting"}, {"delivered_at_least": 1}]
-}`
-	yamlDoc := `version: 1
-name: json-twin
-seed: 3
-fleet:
-  copies: 1
-workload:
-  transport: tcp
-  uows: 2
-links:
-  - from: src
-    to: cons0
-    latency: 100us
-    loss: 0.5
-events:
-  - at: 1ms
-    action: slowdown
-    node: cons0
-    factor: 2
-assertions:
-  - invariant: accounting
-  - delivered_at_least: 1
-`
-	fj, err := Parse("t.json", []byte(jsonDoc))
-	if err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	fy, err := Parse("t.yaml", []byte(yamlDoc))
-	if err != nil {
-		t.Fatalf("yaml: %v", err)
-	}
-	if string(fj.Marshal()) != string(fy.Marshal()) {
-		t.Fatalf("front ends disagree:\n--- json:\n%s--- yaml:\n%s", fj.Marshal(), fy.Marshal())
-	}
-}
-
 // minimal returns a valid scenario body with one line replaced, for
 // error-path tests.
 func minimalWith(replace, with string) string {
@@ -180,8 +134,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad-escape", "version: 1\ndescription: \"a\\qb\"\n", "unknown escape"},
 		{"empty", "", "empty scenario file"},
 		{"mixed-block", "version: 1\nfleet:\n  copies: 1\n  - x\n", "cannot mix"},
-		{"json-syntax", "{\"version\": 1,}", "invalid character"},
-		{"json-trailing", "{\"version\": 1} {}", "trailing data"},
+		{"json-syntax", "{\"version\": 1,}", "expected `key: value`"},
+		{"json-trailing", "{\"version\": 1} {}", "expected `key: value`"},
+		{"flow-mapping", "{version: 1}\n", "expected `key: value`"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

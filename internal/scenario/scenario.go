@@ -7,9 +7,7 @@
 // The file format is a strict YAML subset (two-space indentation,
 // `key: value` mappings, `- ` sequences, `# comments`, double-quoted
 // strings, inline `[a, b]` scalar lists) parsed by a stdlib-only
-// parser; a file whose first significant byte is '{' is parsed as
-// JSON instead. Both syntaxes bind to the same tree, so tooling can
-// emit either.
+// parser.
 //
 // Scenario diversity is additive data, not new Go code: the checked-in
 // library under scenarios/ (WAN, lossy wireless, cross-DC, cascading
