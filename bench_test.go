@@ -11,12 +11,20 @@
 package repro_test
 
 import (
+	"math"
+	"strconv"
 	"testing"
 
+	"hpsockets/internal/cluster"
 	"hpsockets/internal/core"
+	"hpsockets/internal/datacutter"
 	"hpsockets/internal/experiments"
+	"hpsockets/internal/fault"
+	"hpsockets/internal/netsim"
+	"hpsockets/internal/profile"
 	"hpsockets/internal/sim"
 	"hpsockets/internal/stats"
+	"hpsockets/internal/vizapp"
 )
 
 func quick() experiments.Options { return experiments.QuickOptions() }
@@ -53,7 +61,7 @@ func benchFig7(b *testing.B, compute bool) {
 		t := experiments.Fig7(quick(), compute)
 		// Find the first target where TCP has a point.
 		for xi := range t.X {
-			if !isNaN(t.Series[0].Y[xi]) {
+			if !math.IsNaN(t.Series[0].Y[xi]) {
 				tcpUS, drUS = t.Series[0].Y[xi], t.Series[2].Y[xi]
 				break
 			}
@@ -181,7 +189,7 @@ func BenchmarkFaultRecovery(b *testing.B) {
 func BenchmarkAblationEagerChunkSize(b *testing.B) {
 	for _, chunk := range []int{2048, 4096, 8192, 16384} {
 		chunk := chunk
-		b.Run(byteLabel(chunk), func(b *testing.B) {
+		b.Run(strconv.Itoa(chunk/1024)+"KB", func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
 				mbps = experiments.AblationEagerChunk(chunk, 64*1024, 100)
@@ -195,7 +203,7 @@ func BenchmarkAblationEagerChunkSize(b *testing.B) {
 func BenchmarkAblationCredits(b *testing.B) {
 	for _, credits := range []int{2, 4, 8, 16, 32} {
 		credits := credits
-		b.Run(intLabel(credits), func(b *testing.B) {
+		b.Run(strconv.Itoa(credits), func(b *testing.B) {
 			var mbps float64
 			for i := 0; i < b.N; i++ {
 				mbps = experiments.AblationCredits(credits, 64*1024, 100)
@@ -228,7 +236,7 @@ func BenchmarkAblationRendezvous(b *testing.B) {
 func BenchmarkAblationTCPMSS(b *testing.B) {
 	for _, mss := range []int{536, 1460, 4312, 8960} {
 		mss := mss
-		b.Run(intLabel(mss), func(b *testing.B) {
+		b.Run(strconv.Itoa(mss), func(b *testing.B) {
 			var mbps float64
 			var lat sim.Time
 			for i := 0; i < b.N; i++ {
@@ -246,7 +254,7 @@ func BenchmarkAblationTransparentCopies(b *testing.B) {
 	o := quick()
 	for _, chains := range []int{1, 2, 3, 4} {
 		chains := chains
-		b.Run(intLabel(chains), func(b *testing.B) {
+		b.Run(strconv.Itoa(chains), func(b *testing.B) {
 			var ups float64
 			for i := 0; i < b.N; i++ {
 				ups = experiments.AblationChains(o, core.KindSocketVIA, chains, 32*1024)
@@ -261,7 +269,7 @@ func BenchmarkAblationDemandWindow(b *testing.B) {
 	o := quick()
 	for _, window := range []int{1, 2, 4, 8, 0} { // 0 = unbounded
 		window := window
-		b.Run(intLabel(window), func(b *testing.B) {
+		b.Run(strconv.Itoa(window), func(b *testing.B) {
 			var makespan sim.Time
 			for i := 0; i < b.N; i++ {
 				makespan = experiments.AblationDemandWindow(o, core.KindTCP, window)
@@ -276,7 +284,7 @@ func BenchmarkAblationDemandWindow(b *testing.B) {
 // continuations, so a provider starts no process (the simulation is
 // deterministic, so the counts are stable run to run).
 // The guard fails when a change regresses either figure by more than
-// 5% — re-baseline these consciously, with the BENCH_*.json trail,
+// 5% — re-baseline these consciously, with a CHANGES.md entry,
 // never by bumping the number to silence the test.
 const (
 	fig4aAllocsBudget = 9830
@@ -310,19 +318,123 @@ func TestFigureAllocsRegression(t *testing.T) {
 	}
 }
 
-func isNaN(f float64) bool { return f != f }
-
-func intLabel(n int) string {
-	digits := "0123456789"
-	if n == 0 {
-		return "0"
+// TestProfileLedgerPins holds the park-ledger totals of four fixed
+// workloads to exact values: a TCP and a SocketVIA pipeline, and a
+// crash-restart recovery over each. Parks, wakes, same-instant wakes,
+// hand-offs and ring hits are virtual-time counts, identical on every
+// machine and every run, so any drift is a change in scheduler traffic
+// that no timer could see. Re-pin a value only with a CHANGES.md entry
+// that says why the traffic moved; never widen one into a range.
+func TestProfileLedgerPins(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T) *profile.Ledger
+		// parks, wakes, same-instant, hand-offs, ring hits
+		want [5]uint64
+	}{
+		{"pipeline/tcp/b32768", pipelineLedger(core.KindTCP), [5]uint64{58858, 58858, 712, 55593, 115918}},
+		{"pipeline/socketvia/b32768", pipelineLedger(core.KindSocketVIA), [5]uint64{45633, 45591, 6, 27070, 36262}},
+		{"recovery/tcp/crash-restart", recoveryLedger(core.KindTCP), [5]uint64{3217, 3217, 2, 2884, 5382}},
+		{"recovery/socketvia/crash-restart", recoveryLedger(core.KindSocketVIA), [5]uint64{3386, 3384, 0, 1703, 2277}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			led := c.run(t)
+			parks, wakes, same, hand := led.Totals()
+			if got := [5]uint64{parks, wakes, same, hand, led.RingHits()}; got != c.want {
+				t.Errorf("parks/wakes/same-instant/hand-offs/ring hits = %v, want %v", got, c.want)
+			}
+		})
 	}
-	var out []byte
-	for n > 0 {
-		out = append([]byte{digits[n%10]}, out...)
-		n /= 10
-	}
-	return string(out)
 }
 
-func byteLabel(n int) string { return intLabel(n/1024) + "KB" }
+// pipelineLedger runs two complete queries over a 4 MB image in 32 KB
+// blocks with a park ledger attached.
+func pipelineLedger(kind core.Kind) func(t *testing.T) *profile.Ledger {
+	return func(t *testing.T) *profile.Ledger {
+		cfg := vizapp.DefaultPipelineConfig(kind, 32<<10)
+		cfg.ImageBytes = 4 << 20
+		led := profile.NewLedger()
+		cfg.Hook = led.Attach
+		if res := vizapp.RunPipeline(cfg, []vizapp.Query{cfg.CompleteQuery(), cfg.CompleteQuery()}); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return led
+	}
+}
+
+// recoveryLedger runs one producer feeding a checkpointed,
+// exactly-once consumer whose node crashes mid-run and restarts 1 ms
+// later, with a park ledger attached: the whole recovery arc of crash
+// unwind, rejoin redial, resync fast-forward and ledger suppression.
+func recoveryLedger(kind core.Kind) func(t *testing.T) *profile.Ledger {
+	return func(t *testing.T) *profile.Ledger {
+		const crashAt = 6 * sim.Millisecond
+		prof := core.RecoveryProfile()
+		k := sim.NewKernel()
+		led := profile.NewLedger()
+		led.Attach(k)
+		cl := cluster.New(k, netsim.New(k, prof.Wire))
+		cl.AddNode("n0", cluster.DefaultConfig())
+		cl.AddNode("n1", cluster.DefaultConfig())
+		fault.Install(cl, fault.Plan{
+			Seed:     42,
+			Crashes:  []fault.NodeCrash{{Node: "n1", At: crashAt}},
+			Restarts: []fault.NodeRestart{{Node: "n1", At: crashAt + sim.Millisecond}},
+		})
+		g := datacutter.NewRuntime(cl, core.NewFabric(cl, kind, prof)).Instantiate(datacutter.GroupSpec{
+			Filters: []datacutter.FilterSpec{
+				{Name: "src", Placement: []string{"n0"},
+					New: func(int) datacutter.Filter { return recoverySource{} }},
+				{Name: "dst", Placement: []string{"n1"}, CheckpointEvery: 500 * sim.Microsecond,
+					New: func(int) datacutter.Filter { return recoverySink{} }},
+			},
+			Streams: []datacutter.StreamSpec{{
+				Name: "s", From: "src", To: "dst",
+				Policy:         datacutter.DemandDriven,
+				MaxUnacked:     4,
+				OpTimeout:      2 * sim.Millisecond,
+				RedialAttempts: 8,
+				RedialSeed:     59,
+				ExactlyOnce:    true,
+			}},
+		})
+		g.Start(8)
+		k.RunAll()
+		if err := g.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if restartedAt, recoveredAt := g.RecoveryOf("dst", 0); recoveredAt <= restartedAt {
+			t.Fatal("consumer never recovered")
+		}
+		return led
+	}
+}
+
+// recoverySource emits 8 blocks of 16 KB per unit of work.
+type recoverySource struct{}
+
+func (recoverySource) Init(*datacutter.Context) error { return nil }
+func (recoverySource) Process(ctx *datacutter.Context) error {
+	out := ctx.Output("s")
+	for i := 0; i < 8; i++ {
+		if err := out.Write(ctx.Proc(), &datacutter.Buffer{Size: 16 << 10}); err != nil {
+			return err
+		}
+	}
+	return out.EndOfWork(ctx.Proc())
+}
+func (recoverySource) Finalize(*datacutter.Context) error { return nil }
+
+// recoverySink drains its input.
+type recoverySink struct{}
+
+func (recoverySink) Init(*datacutter.Context) error { return nil }
+func (recoverySink) Process(ctx *datacutter.Context) error {
+	in := ctx.Input("s")
+	for {
+		if _, ok := in.Read(ctx.Proc()); !ok {
+			return nil
+		}
+	}
+}
+func (recoverySink) Finalize(*datacutter.Context) error { return nil }

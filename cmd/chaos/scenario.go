@@ -97,6 +97,20 @@ func runCmd(args []string) int {
 		fs.Usage()
 		return exitUsage
 	}
+	// A missing output directory is a usage error found before anything
+	// runs, not after part of the report has been printed.
+	for _, dir := range []string{*telemetry, *repro} {
+		if dir == "" {
+			continue
+		}
+		if info, err := os.Stat(dir); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return exitUsage
+		} else if !info.IsDir() {
+			fmt.Fprintf(os.Stderr, "%s: not a directory\n", dir)
+			return exitUsage
+		}
+	}
 
 	paths := fs.Args()
 	files := make([]*scenario.File, len(paths))

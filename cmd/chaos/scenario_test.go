@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,5 +55,30 @@ func TestScenarioLibraryValidates(t *testing.T) {
 	}
 	if code := validateCmd(files); code != exitOK {
 		t.Fatalf("validate exited %d", code)
+	}
+}
+
+// TestRunMissingTelemetryDir: a -telemetry directory that does not
+// exist is a usage error (exit 2) found before any scenario runs, so
+// nothing reaches stdout.
+func TestRunMissingTelemetryDir(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	code := runCmd([]string{"-workers", "1",
+		"-telemetry", filepath.Join(t.TempDir(), "missing"),
+		filepath.Join("..", "..", "scenarios", "wan.yaml")})
+	os.Stdout = stdout
+	w.Close()
+	if got := <-out; code != exitUsage || len(got) != 0 {
+		t.Fatalf("exit %d with %d bytes on stdout, want exit %d and none:\n%s", code, len(got), exitUsage, got)
 	}
 }

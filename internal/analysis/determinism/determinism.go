@@ -38,26 +38,8 @@ Flags, in non-test files:
     because map iteration order would leak into results. Iterate over
     a sorted copy of the keys instead; collecting keys into a slice
     that is subsequently passed to sort or slices is recognized as
-    exactly that idiom and allowed.
-
-The wall-clock rule exempts cmd/bench: its whole purpose is measuring
-real elapsed time and allocation counts of the simulator, so it reads
-the host clock by design and never feeds a simulated result.`,
+    exactly that idiom and allowed.`,
 	Run: run,
-}
-
-// wallClockExempt are packages allowed to read the host clock: they
-// measure the simulator from outside rather than computing simulated
-// results.
-var wallClockExempt = []string{"cmd/bench"}
-
-func isWallClockExempt(path string) bool {
-	for _, s := range wallClockExempt {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
 }
 
 // bannedTime are the time package functions that read or consume the
@@ -97,7 +79,6 @@ func inOrderedPackage(path string) bool {
 
 func run(pass *framework.Pass) (any, error) {
 	ordered := inOrderedPackage(pass.Pkg.Path())
-	clockExempt := isWallClockExempt(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		if isTestFile(pass, f) {
 			continue
@@ -105,7 +86,7 @@ func run(pass *framework.Pass) (any, error) {
 		framework.WithStackNode(f, func(n ast.Node, stack []ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkCall(pass, n, clockExempt)
+				checkCall(pass, n)
 			case *ast.RangeStmt:
 				if ordered {
 					checkMapRange(pass, n, framework.EnclosingFunc(stack))
@@ -122,7 +103,7 @@ func isTestFile(pass *framework.Pass, f *ast.File) bool {
 }
 
 // checkCall flags wall-clock and global-rand calls.
-func checkCall(pass *framework.Pass, call *ast.CallExpr, clockExempt bool) {
+func checkCall(pass *framework.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -136,7 +117,7 @@ func checkCall(pass *framework.Pass, call *ast.CallExpr, clockExempt bool) {
 	}
 	switch fn.Pkg().Path() {
 	case "time":
-		if bannedTime[fn.Name()] && !clockExempt {
+		if bannedTime[fn.Name()] {
 			pass.Reportf(call.Pos(),
 				"call to time.%s in simulation code: use the sim kernel's virtual clock (sim.Time, Proc.Now, Proc.Sleep)",
 				fn.Name())

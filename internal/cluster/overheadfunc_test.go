@@ -154,3 +154,45 @@ func TestOverheadFuncDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNodeOverhead is the protocol CPU charge under contention,
+// the shape of softnet beside the application's system calls: four
+// users of a node's two CPUs. The func users are OverheadFunc
+// continuations, as softnet is: the same events and no parks.
+func BenchmarkNodeOverhead(b *testing.B) {
+	const charges = 10_000
+	for _, form := range []struct {
+		name    string
+		charger func(k *sim.Kernel, n *Node, charges int)
+	}{
+		{"proc", func(k *sim.Kernel, n *Node, charges int) {
+			k.Go("user", func(p *sim.Proc) {
+				for j := 0; j < charges; j++ {
+					n.Overhead(p, 3)
+				}
+			})
+		}},
+		{"func", func(k *sim.Kernel, n *Node, charges int) {
+			ident := k.Identity("user")
+			var charge func()
+			charge = func() {
+				if charges--; charges >= 0 {
+					n.OverheadFunc(ident, 3, charge)
+				}
+			}
+			k.After(0, charge)
+		}},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := sim.NewKernel()
+				n := testCluster(k).AddNode("n0", DefaultConfig())
+				for un := 0; un < 4; un++ {
+					form.charger(k, n, charges/4)
+				}
+				k.RunAll()
+			}
+		})
+	}
+}

@@ -247,7 +247,7 @@ func TestLadderMatchesHeapOracle(t *testing.T) {
 }
 
 // TestLadderGrownPendingOrder grows the pending set to tens of
-// thousands before draining, the regime of the bench sanity anchor:
+// thousands before draining, the regime of the event-churn anchor:
 // push-heavy bursts at mixed horizons with occasional pops force the
 // small-top direct transfer, the bottom-overflow conversion into a
 // rung (ladderBottomMax), and routing through rung limits where
