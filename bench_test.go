@@ -3,7 +3,7 @@
 //
 // Each figure benchmark regenerates the corresponding figure's series
 // at reduced (Quick) repetition counts and reports its headline metric
-// via b.ReportMetric; `go run ./cmd/figures` produces the full-scale
+// via b.ReportMetric; `go run ./cmd/hps figures` produces the full-scale
 // tables. Simulated time is deterministic, so a single iteration is a
 // complete, reproducible measurement. The pipeline figures build their
 // Options inside the loop: a fresh QuickOptions starts with a cold

@@ -10,7 +10,7 @@ import (
 
 // These tests assert the paper's qualitative results ("who wins, by
 // roughly what factor, where crossovers fall") at reduced scale;
-// cmd/figures regenerates the full-scale tables.
+// `hps figures` regenerates the full-scale tables.
 
 func TestMicroHeadlineBands(t *testing.T) {
 	o := QuickOptions()
@@ -203,15 +203,41 @@ func TestFig11DemandDrivenMasksHeterogeneity(t *testing.T) {
 	}
 }
 
+// perfectPipeliningBlock finds the knee of the efficiency curve: the
+// smallest ladder block whose pipeline efficiency reaches the given
+// fraction (e.g. 0.9) of the transport's plateau efficiency. This is
+// the measured counterpart of PipeliningBlock: growing the block
+// beyond it buys almost nothing, and load-balancing granularity
+// suffers.
+func perfectPipeliningBlock(o Options, kind core.Kind, fractionOfPlateau float64) (int, bool) {
+	effs := make([]float64, len(o.BlockLadder))
+	plateau := 0.0
+	for i, block := range o.BlockLadder {
+		effs[i] = PipelineEfficiency(o, kind, block)
+		if effs[i] > plateau {
+			plateau = effs[i]
+		}
+	}
+	if plateau == 0 {
+		return 0, false
+	}
+	for i, block := range o.BlockLadder {
+		if effs[i] >= fractionOfPlateau*plateau {
+			return block, true
+		}
+	}
+	return 0, false
+}
+
 func TestPerfectPipeliningKnees(t *testing.T) {
 	o := QuickOptions()
 	o.LBBytes = 2 << 20
 	o.BlockLadder = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 128 << 10}
-	tcpKnee, ok := PerfectPipeliningBlock(o, core.KindTCP, 0.9)
+	tcpKnee, ok := perfectPipeliningBlock(o, core.KindTCP, 0.9)
 	if !ok {
 		t.Fatal("no TCP knee found")
 	}
-	svKnee, ok := PerfectPipeliningBlock(o, core.KindSocketVIA, 0.9)
+	svKnee, ok := perfectPipeliningBlock(o, core.KindSocketVIA, 0.9)
 	if !ok {
 		t.Fatal("no SocketVIA knee found")
 	}

@@ -155,29 +155,3 @@ func PipelineEfficiency(o Options, kind core.Kind, block int) float64 {
 	ideal := float64(o.LBBytes) * float64(o.ComputePerByte)
 	return ideal / float64(res.Makespan)
 }
-
-// PerfectPipeliningBlock finds the knee of the efficiency curve: the
-// smallest ladder block whose pipeline efficiency reaches the given
-// fraction (e.g. 0.9) of the transport's plateau efficiency. This is
-// the measured counterpart of PipeliningBlock: growing the block
-// beyond it buys almost nothing, and load-balancing granularity
-// suffers.
-func PerfectPipeliningBlock(o Options, kind core.Kind, fractionOfPlateau float64) (int, bool) {
-	effs := make([]float64, len(o.BlockLadder))
-	plateau := 0.0
-	for i, block := range o.BlockLadder {
-		effs[i] = PipelineEfficiency(o, kind, block)
-		if effs[i] > plateau {
-			plateau = effs[i]
-		}
-	}
-	if plateau == 0 {
-		return 0, false
-	}
-	for i, block := range o.BlockLadder {
-		if effs[i] >= fractionOfPlateau*plateau {
-			return block, true
-		}
-	}
-	return 0, false
-}

@@ -21,8 +21,8 @@ import (
 type Options struct {
 	// Spans enables causal span collection. Metrics are always
 	// collected; spans cost memory proportional to event count, so
-	// grid-wide metrics runs leave them off and cmd/trace turns them
-	// on for a single cell.
+	// grid-wide metrics runs leave them off and `hps trace` turns
+	// them on for a single cell.
 	Spans bool
 }
 
