@@ -155,61 +155,103 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// twoCopies is a valid two-copy scenario body for the restart cases.
+const twoCopies = "version: 1\nname: tiny\nfleet:\n  copies: 2\nworkload:\n  transport: tcp\n"
+
+// semanticCases are well-formed documents describing invalid
+// scenarios, each with its exact error: message and position.
+var semanticCases = []struct {
+	name string
+	doc  string
+	want string // the full Error() string
+}{
+	{"bad-version", minimalWith("version: 1", "version: 2"),
+		`bad-version:1:1: scenario: unsupported version 2 (this build reads version 1)`},
+	{"bad-name", minimalWith("name: tiny", "name: Tiny_One"),
+		`bad-name:2:1: scenario: name "Tiny_One" must match [a-z0-9-]+`},
+	{"unknown-key", minimalWith("", "frobnicate: 1\n"),
+		`unknown-key:7:1: scenario: unknown key "frobnicate" (allowed: version, name, description, seed, fleet, workload, links, events, assertions)`},
+	{"missing-fleet", "version: 1\nname: x\nworkload:\n  transport: tcp\n",
+		`missing-fleet:1:1: scenario: missing required section "fleet"`},
+	{"bad-transport", minimalWith("transport: tcp", "transport: rdma"),
+		`bad-transport:6:3: scenario: "rdma" is not one of tcp, socketvia`},
+	{"copies-range", minimalWith("copies: 1", "copies: 99"),
+		`copies-range:4:3: scenario: copies 99 outside 1..64`},
+	{"deadline-needs-shed", minimalWith("", "  deadline_budget: 1ms\n"),
+		`deadline-needs-shed:7:3: scenario: deadline_budget requires a shedding policy (shed: block would have nowhere to put expired buffers)`},
+	{"unknown-node", minimalWith("", "links:\n  - from: src\n    to: cons7\n    loss: 0.1\n"),
+		`unknown-node:9:5: scenario: unknown node "cons7" (fleet has src and cons0..cons0)`},
+	{"zero-profile", minimalWith("", "links:\n  - from: src\n    to: cons0\n"),
+		`zero-profile:8:5: scenario: link profile conditions nothing`},
+	{"prob-range", minimalWith("", "links:\n  - from: src\n    to: cons0\n    loss: 1.5\n"),
+		`prob-range:10:5: scenario: loss 1.5 outside [0, 1]`},
+	{"jitter-alone", minimalWith("", "links:\n  - from: src\n    to: cons0\n    jitter: 1ms\n"),
+		`jitter-alone:10:5: scenario: jitter needs a latency to jitter around`},
+	{"reject-alone", minimalWith("", "links:\n  - from: src\n    to: cons0\n    latency: 1ms\n    mode: reject\n"),
+		`reject-alone:11:5: scenario: mode: reject needs loss or loss_every to apply to`},
+	{"inverted-window", minimalWith("",
+		"events:\n  - at: 5ms\n    action: partition\n    between: [src, cons0]\n    until: 2ms\n"),
+		`inverted-window:11:5: scenario: partition until 2.000ms must come after at 5.000ms`},
+	{"crash-src", minimalWith("", "events:\n  - at: 1ms\n    action: crash\n    node: src\n"),
+		`crash-src:10:5: scenario: crashing src kills the producer; crash a consumer instead`},
+	{"crash-all", minimalWith("", "events:\n  - at: 1ms\n    action: crash\n    node: cons0\n"),
+		`crash-all:7:1: scenario: 1 crashes would leave no live consumer of 1 copies`},
+	{"bad-action", minimalWith("", "events:\n  - at: 1ms\n    action: meteor\n"),
+		`bad-action:9:5: scenario: unknown action "meteor" (want partition, crash, restart, slowdown, or condition)`},
+	{"slow-factor", minimalWith("",
+		"events:\n  - at: 1ms\n    action: slowdown\n    node: cons0\n    factor: 0.5\n"),
+		`slow-factor:11:5: scenario: slowdown factor 0.5 must be >= 1`},
+	{"bad-invariant", minimalWith("", "assertions:\n  - invariant: vibes\n"),
+		`bad-invariant:8:5: scenario: unknown invariant "vibes" (want accounting, liveness, credits, replay, telemetry, or exactly-once)`},
+	{"bad-assert", minimalWith("", "assertions:\n  - delivered_exactly: 3\n"),
+		`bad-assert:8:5: scenario: unknown assertion "delivered_exactly"`},
+	{"bad-duration", minimalWith("", "  gap: 5parsecs\n"),
+		`bad-duration:7:8: scenario: "5parsecs" is not a duration (want e.g. 250us, 5ms)`},
+	{"bad-int", minimalWith("", "  uows: many\n"),
+		`bad-int:7:3: scenario: "many" is not an integer`},
+	{"int-range", minimalWith("", "  uows: 0\n"),
+		`int-range:7:3: scenario: uows 0 outside 1..64`},
+	{"bad-bool", minimalWith("", "  exactly_once: yes\n"),
+		`bad-bool:7:3: scenario: "yes" is not a boolean (want true or false)`},
+	{"bad-float", minimalWith("", "links:\n  - from: src\n    bandwidth: fast\n"),
+		`bad-float:9:5: scenario: "fast" is not a number`},
+	{"neg-bandwidth", minimalWith("", "links:\n  - from: src\n    bandwidth: -5\n"),
+		`neg-bandwidth:9:5: scenario: bandwidth must be positive Mbps`},
+	{"bad-mode", minimalWith("", "links:\n  - from: src\n    loss: 0.1\n    mode: bounce\n"),
+		`bad-mode:10:5: scenario: "bounce" is not one of drop, reject`},
+	{"cond-window", minimalWith("",
+		"events:\n  - at: 3ms\n    action: condition\n    until: 3ms\n    loss: 0.1\n"),
+		`cond-window:10:5: scenario: condition until 3.000ms must come after at 3.000ms`},
+	{"cond-zero", minimalWith("", "events:\n  - at: 3ms\n    action: condition\n    from: src\n"),
+		`cond-zero:8:5: scenario: condition profile conditions nothing`},
+	{"negative-count", minimalWith("", "assertions:\n  - shed_at_most: -1\n"),
+		`negative-count:8:5: scenario: shed_at_most bound must be non-negative`},
+	{"zero-duration", minimalWith("", "assertions:\n  - end_at_most: 0s\n"),
+		`zero-duration:8:5: scenario: end_at_most needs a positive duration`},
+	{"no-abort-false", minimalWith("", "assertions:\n  - no_abort: false\n"),
+		`no-abort-false:8:5: scenario: no_abort takes the value true`},
+	{"node-required", minimalWith("", "events:\n  - at: 1ms\n    action: crash\n    node: \"\"\n"),
+		`node-required:10:5: scenario: node name required`},
+	{"restart-uncovered", twoCopies + "events:\n  - at: 1ms\n    action: restart\n    node: cons0\n",
+		`restart-uncovered:10:5: scenario: restart of "cons0" needs a strictly earlier crash of the same node`},
+	{"all-down", twoCopies + "events:\n  - at: 1ms\n    action: crash\n    node: cons0\n" +
+		"  - at: 2ms\n    action: crash\n    node: cons1\n  - at: 3ms\n    action: restart\n    node: cons0\n",
+		`all-down:7:1: scenario: at 2ms every consumer copy of 2 is down; stagger the crashes or restart sooner`},
+}
+
+// TestSemanticErrors: every invalid scenario is rejected with a
+// *SemanticError whose full text — file, line, column and message —
+// is exactly the recorded one.
 func TestSemanticErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-		want string
-	}{
-		{"bad-version", minimalWith("version: 1", "version: 2"), "unsupported version 2"},
-		{"bad-name", minimalWith("name: tiny", "name: Tiny_One"), "must match"},
-		{"unknown-key", minimalWith("", "frobnicate: 1\n"), `unknown key "frobnicate"`},
-		{"missing-fleet", "version: 1\nname: x\nworkload:\n  transport: tcp\n",
-			`missing required section "fleet"`},
-		{"bad-transport", minimalWith("transport: tcp", "transport: rdma"), "not one of tcp, socketvia"},
-		{"copies-range", minimalWith("copies: 1", "copies: 99"), "outside 1..64"},
-		{"deadline-needs-shed", minimalWith("", "  deadline_budget: 1ms\n"),
-			"requires a shedding policy"},
-		{"unknown-node", minimalWith("", "links:\n  - from: src\n    to: cons7\n    loss: 0.1\n"),
-			`unknown node "cons7"`},
-		{"zero-profile", minimalWith("", "links:\n  - from: src\n    to: cons0\n"),
-			"conditions nothing"},
-		{"prob-range", minimalWith("", "links:\n  - from: src\n    to: cons0\n    loss: 1.5\n"),
-			"outside [0, 1]"},
-		{"jitter-alone", minimalWith("", "links:\n  - from: src\n    to: cons0\n    jitter: 1ms\n"),
-			"jitter needs a latency"},
-		{"reject-alone", minimalWith("", "links:\n  - from: src\n    to: cons0\n    latency: 1ms\n    mode: reject\n"),
-			"needs loss"},
-		{"inverted-window", minimalWith("",
-			"events:\n  - at: 5ms\n    action: partition\n    between: [src, cons0]\n    until: 2ms\n"),
-			"must come after"},
-		{"crash-src", minimalWith("", "events:\n  - at: 1ms\n    action: crash\n    node: src\n"),
-			"crashing src"},
-		{"crash-all", minimalWith("", "events:\n  - at: 1ms\n    action: crash\n    node: cons0\n"),
-			"no live consumer"},
-		{"bad-action", minimalWith("", "events:\n  - at: 1ms\n    action: meteor\n"),
-			`unknown action "meteor"`},
-		{"slow-factor", minimalWith("",
-			"events:\n  - at: 1ms\n    action: slowdown\n    node: cons0\n    factor: 0.5\n"),
-			"must be >= 1"},
-		{"bad-invariant", minimalWith("", "assertions:\n  - invariant: vibes\n"),
-			`unknown invariant "vibes"`},
-		{"bad-assert", minimalWith("", "assertions:\n  - delivered_exactly: 3\n"),
-			`unknown assertion "delivered_exactly"`},
-		{"bad-duration", minimalWith("", "  gap: 5parsecs\n"), "is not a duration"},
-	}
-	for _, tc := range cases {
+	for _, tc := range semanticCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(tc.name, []byte(tc.doc))
 			var se *SemanticError
 			if !errors.As(err, &se) {
 				t.Fatalf("error = %v, want *SemanticError", err)
 			}
-			if !strings.Contains(se.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", se.Error(), tc.want)
-			}
-			if se.Line <= 0 || se.Col <= 0 {
-				t.Fatalf("error carries no position: %+v", se)
+			if got := se.Error(); got != tc.want {
+				t.Fatalf("error\n got %s\nwant %s", got, tc.want)
 			}
 		})
 	}
