@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 
+	"hpsockets/internal/fault"
 	"hpsockets/internal/runner"
 	"hpsockets/internal/scenario"
 )
@@ -75,7 +76,7 @@ func validateCmd(args []string, stdout io.Writer) int {
 		}
 		s := f.Scenario()
 		fmt.Fprintf(stdout, "%s: ok (scenario %s, %d nodes, %d events, %d assertions)\n",
-			path, f.Name, 1+s.Copies, len(f.Events), len(f.Assertions))
+			path, f.Name, 1+s.Copies, events(s.Plan), len(f.Assertions))
 	}
 	return worst
 }
@@ -170,6 +171,18 @@ func runCmd(args []string, stdout io.Writer) int {
 	fmt.Fprintf(stdout, "chaos: %d scenarios ok (%s)\n", len(files),
 		strings.Join(names(results), ", "))
 	return exitOK
+}
+
+// events counts the timed entries of a plan: everything but the
+// whole-run conditions, which a scenario file writes as links.
+func events(p fault.Plan) int {
+	n := len(p.Partitions) + len(p.Crashes) + len(p.Restarts) + len(p.Slowdowns)
+	for _, c := range p.Conditions {
+		if c.From != 0 || c.To != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func names(results []scenario.Result) []string {

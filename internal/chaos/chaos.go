@@ -181,31 +181,8 @@ func (s Scenario) valid() bool {
 				return false
 			}
 		}
-		// Down-count sweep: at every instant at least one consumer copy
-		// must be up; a restart removes its node from the down set.
-		type ev struct {
-			at   sim.Time
-			up   bool
-			node string
-		}
-		evs := make([]ev, 0, len(s.Plan.Crashes)+len(s.Plan.Restarts))
-		for _, c := range s.Plan.Crashes {
-			evs = append(evs, ev{c.At, false, c.Node})
-		}
-		for _, rs := range s.Plan.Restarts {
-			evs = append(evs, ev{rs.At, true, rs.Node})
-		}
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-		down := map[string]bool{}
-		for _, e := range evs {
-			if e.up {
-				delete(down, e.node)
-			} else {
-				down[e.node] = true
-			}
-			if len(down) >= s.Copies {
-				return false
-			}
+		if _, down := AllDownAt(s.Plan, s.Copies); down {
+			return false
 		}
 	}
 	for _, c := range s.Plan.Crashes {
@@ -237,6 +214,39 @@ func (s Scenario) valid() bool {
 		}
 	}
 	return true
+}
+
+// AllDownAt is the survivability sweep for plans that restart nodes:
+// it replays the plan's crashes and restarts in time order, crashes
+// before restarts at equal instants, and returns the first instant at
+// which all copies consumer copies are down at once. ok is false when
+// at least one copy is up throughout.
+func AllDownAt(p fault.Plan, copies int) (at sim.Time, ok bool) {
+	type ev struct {
+		at   sim.Time
+		up   bool
+		node string
+	}
+	evs := make([]ev, 0, len(p.Crashes)+len(p.Restarts))
+	for _, c := range p.Crashes {
+		evs = append(evs, ev{c.At, false, c.Node})
+	}
+	for _, rs := range p.Restarts {
+		evs = append(evs, ev{rs.At, true, rs.Node})
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	down := map[string]bool{}
+	for _, e := range evs {
+		if e.up {
+			delete(down, e.node)
+		} else {
+			down[e.node] = true
+		}
+		if len(down) >= copies {
+			return e.at, true
+		}
+	}
+	return 0, false
 }
 
 func consName(i int) string { return fmt.Sprintf("cons%d", i) }

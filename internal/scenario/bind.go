@@ -2,21 +2,208 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 
+	"hpsockets/internal/chaos"
+	"hpsockets/internal/datacutter"
 	"hpsockets/internal/fault"
 	"hpsockets/internal/sim"
 )
 
+// kind is how a table key's scalar is read, checked and written.
+type kind int
+
+const (
+	kInt   kind = iota // decimal integer in [lo, hi], default def
+	kDur               // duration with a unit suffix
+	kProb              // number in [0, 1]
+	kFloat             // number
+	kEnum              // one of enum, stored as its index
+	kBool              // true or false
+)
+
+// field is one key of a flat mapping section, declared once: allowKeys,
+// binding and Marshal all walk the same table in its order.
+type field[T any] struct {
+	key    string
+	kind   kind
+	def    int      // default of a kInt key; every other kind defaults to zero
+	lo, hi int      // bounds of a kInt key
+	enum   []string // names of a kEnum key's values, by index
+	always bool     // Marshal writes the key even at its default
+	// ptr returns the field's storage in t: *int for kInt, and for a
+	// kEnum over an int type; *bool for kBool and a two-valued kEnum;
+	// *sim.Time for kDur; *float64 for kProb and kFloat.
+	ptr func(t *T) any
+}
+
+// workloadFields is the workload section: the offered load and the
+// overload-control configuration of the pipeline under test.
+var workloadFields = []field[chaos.Scenario]{
+	{key: "transport", kind: kEnum, enum: []string{"tcp", "socketvia"}, always: true,
+		ptr: func(s *chaos.Scenario) any { return (*int)(&s.Kind) }},
+	{key: "uows", kind: kInt, def: 1, lo: 1, hi: 64,
+		ptr: func(s *chaos.Scenario) any { return &s.UOWs }},
+	{key: "buffers_per_uow", kind: kInt, def: 8, lo: 1, hi: 4096,
+		ptr: func(s *chaos.Scenario) any { return &s.BuffersPerUOW }},
+	{key: "block_bytes", kind: kInt, def: 4096, lo: 1, hi: 1 << 20,
+		ptr: func(s *chaos.Scenario) any { return &s.BlockBytes }},
+	{key: "inbox_depth", kind: kInt, def: 2, lo: 1, hi: 1024,
+		ptr: func(s *chaos.Scenario) any { return &s.InboxDepth }},
+	{key: "policy", kind: kEnum, enum: []string{"rr", "dd"},
+		ptr: func(s *chaos.Scenario) any { return (*int)(&s.Policy) }},
+	{key: "shed", kind: kEnum, enum: []string{"block", "drop-oldest", "drop-newest", "degrade"},
+		ptr: func(s *chaos.Scenario) any { return (*int)(&s.Shed) }},
+	{key: "credit_window", kind: kInt, lo: 0, hi: 1024,
+		ptr: func(s *chaos.Scenario) any { return &s.CreditWindow }},
+	{key: "deadline_budget", kind: kDur,
+		ptr: func(s *chaos.Scenario) any { return &s.DeadlineBudget }},
+	{key: "op_timeout", kind: kDur,
+		ptr: func(s *chaos.Scenario) any { return &s.OpTimeout }},
+	{key: "redial_attempts", kind: kInt, lo: 0, hi: 64,
+		ptr: func(s *chaos.Scenario) any { return &s.RedialAttempts }},
+	{key: "gap", kind: kDur,
+		ptr: func(s *chaos.Scenario) any { return &s.Gap }},
+	{key: "spike_every", kind: kInt, lo: 0, hi: 4096,
+		ptr: func(s *chaos.Scenario) any { return &s.SpikeEvery }},
+	{key: "consumer_cost", kind: kDur,
+		ptr: func(s *chaos.Scenario) any { return &s.ConsumerCost }},
+	// checkpoint_every and exactly_once arm crash-restart recovery;
+	// normalization forces both whenever an event restarts a node.
+	{key: "checkpoint_every", kind: kDur,
+		ptr: func(s *chaos.Scenario) any { return &s.CheckpointEvery }},
+	{key: "exactly_once", kind: kBool,
+		ptr: func(s *chaos.Scenario) any { return &s.ExactlyOnce }},
+}
+
+// profileFields are the netem-style condition keys of a link or a
+// condition event.
+var profileFields = []field[fault.Profile]{
+	{key: "latency", kind: kDur,
+		ptr: func(p *fault.Profile) any { return &p.Latency }},
+	{key: "jitter", kind: kDur,
+		ptr: func(p *fault.Profile) any { return &p.Jitter }},
+	{key: "loss", kind: kProb,
+		ptr: func(p *fault.Profile) any { return &p.LossProb }},
+	{key: "loss_every", kind: kInt, lo: 0, hi: 1 << 20,
+		ptr: func(p *fault.Profile) any { return &p.LossEveryN }},
+	{key: "mode", kind: kEnum, enum: []string{"drop", "reject"},
+		ptr: func(p *fault.Profile) any { return &p.Reject }},
+	{key: "bandwidth", kind: kFloat,
+		ptr: func(p *fault.Profile) any { return &p.BandwidthMbps }},
+	{key: "corrupt", kind: kProb,
+		ptr: func(p *fault.Profile) any { return &p.CorruptProb }},
+	{key: "reorder", kind: kProb,
+		ptr: func(p *fault.Profile) any { return &p.ReorderProb }},
+}
+
+func keys[T any](fields []field[T]) []string {
+	out := make([]string, len(fields))
+	for i, f := range fields {
+		out[i] = f.key
+	}
+	return out
+}
+
+// bind reads the field's key from mapping n into t; an absent key
+// leaves the default.
+func (f field[T]) bind(b *binder, n *node, t *T) {
+	switch p := f.ptr(t).(type) {
+	case *sim.Time:
+		*p = b.durKey(n, f.key)
+	case *float64:
+		if *p = b.floatKey(n, f.key); b.err == nil && f.kind == kProb && !(*p >= 0 && *p <= 1) {
+			b.fail(n, f.key, "%s %g outside [0, 1]", f.key, *p)
+		}
+	case *int:
+		if f.kind == kEnum {
+			*p = b.enumKey(n, f.key, f.enum)
+		} else if *p = b.intKey(n, f.key, false, f.def); b.err == nil && (*p < f.lo || *p > f.hi) {
+			b.fail(n, f.key, "%s %d outside %d..%d", f.key, *p, f.lo, f.hi)
+		}
+	case *bool:
+		if f.kind == kEnum {
+			*p = b.enumKey(n, f.key, f.enum) == 1
+		} else if v, ok := b.scalarKey(n, f.key, false); ok && v.scalar != "true" && v.scalar != "false" {
+			b.fail(n, f.key, "%q is not a boolean (want true or false)", v.scalar)
+		} else {
+			*p = ok && v.scalar == "true"
+		}
+	}
+}
+
+// enumKey reads key of n as the index of its value in names; absent is
+// the first.
+func (b *binder) enumKey(n *node, key string, names []string) int {
+	v, ok := b.scalarKey(n, key, false)
+	if !ok {
+		return 0
+	}
+	i := slices.Index(names, v.scalar)
+	if i < 0 {
+		b.fail(n, key, "%q is not one of %s", v.scalar, strings.Join(names, ", "))
+		return 0
+	}
+	return i
+}
+
+// text renders the field's value in t as Marshal writes it, and
+// reports whether it differs from the default.
+func (f field[T]) text(t *T) (string, bool) {
+	switch p := f.ptr(t).(type) {
+	case *int:
+		if f.kind == kEnum {
+			return f.enum[*p], *p != 0
+		}
+		return strconv.Itoa(*p), *p != f.def
+	case *bool:
+		v := strconv.FormatBool(*p)
+		if f.kind == kEnum {
+			v = f.enum[0]
+			if *p {
+				v = f.enum[1]
+			}
+		}
+		return v, *p
+	case *sim.Time:
+		return durString(*p), *p != 0
+	case *float64:
+		return ftoaCanon(*p), *p != 0
+	}
+	panic("scenario: field " + f.key + " has no storage")
+}
+
+// bindFields binds every key of fields from mapping n into t.
+func bindFields[T any](b *binder, n *node, t *T, fields []field[T]) {
+	for _, f := range fields {
+		f.bind(b, n, t)
+	}
+}
+
+// writeFields calls put for every key of fields whose value in t
+// differs from its default, or is always written, in table order.
+func writeFields[T any](t *T, fields []field[T], put func(key, val string)) {
+	for _, f := range fields {
+		if v, set := f.text(t); set || f.always {
+			put(f.key, v)
+		}
+	}
+}
+
 // binder walks the document tree into a File, recording the first
 // semantic problem with its position. All validation that makes a
-// scenario runnable by construction lives here, so the compile step
-// (File.Scenario) is pure and infallible.
+// scenario runnable by construction lives here, so File.Scenario is
+// pure and infallible.
 type binder struct {
 	file string
 	err  *SemanticError
+	// later holds the checks that need the whole file (node names
+	// against the fleet, crash coverage), queued in file order and run
+	// once every section is bound.
+	later []func()
 }
 
 func (b *binder) fail(n *node, key string, format string, args ...any) {
@@ -45,87 +232,45 @@ func bind(name string, root *node) (*File, error) {
 	if v := b.intKey(root, "version", true, 0); v != Version && b.err == nil {
 		b.fail(root, "version", "unsupported version %d (this build reads version %d)", v, Version)
 	}
-	f.Name = b.strKey(root, "name", true, "")
+	f.Name = b.strKey(root, "name", true)
 	if b.err == nil && !validName(f.Name) {
 		b.fail(root, "name", "name %q must match [a-z0-9-]+", f.Name)
 	}
-	f.Description = b.strKey(root, "description", false, "")
-	f.Seed = int64(b.intKey(root, "seed", false, 1))
+	f.Description = b.strKey(root, "description", false)
+	s := &f.s
+	s.Seed = int64(b.intKey(root, "seed", false, 1))
 
-	b.bindFleet(f, root)
-	b.bindWorkload(f, root)
-	b.bindLinks(f, root)
-	b.bindEvents(f, root)
+	if fl := b.mapKey(root, "fleet", true); fl != nil {
+		b.allowKeys(fl, "copies")
+		s.Copies = b.intKey(fl, "copies", true, 0)
+		if b.err == nil && (s.Copies < 1 || s.Copies > 64) {
+			b.fail(fl, "copies", "copies %d outside 1..64", s.Copies)
+		}
+	}
+	if w := b.mapKey(root, "workload", true); w != nil {
+		b.allowKeys(w, keys(workloadFields)...)
+		bindFields(b, w, s, workloadFields)
+		if b.err == nil && s.DeadlineBudget > 0 && s.Shed == datacutter.Block {
+			b.fail(w, "deadline_budget",
+				"deadline_budget requires a shedding policy (shed: block would have nowhere to put expired buffers)")
+		}
+	}
+	b.bindLinks(s, root)
+	b.bindEvents(s, root)
 	b.bindAssertions(f, root)
-	b.crossChecks(f, root)
+	b.crossChecks(s, root)
 	if b.err != nil {
 		return nil, b.err
 	}
 	return f, nil
 }
 
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' {
-			return false
-		}
-	}
-	return true
-}
+var validName = regexp.MustCompile(`^[a-z0-9-]+$`).MatchString
 
 // ---- section binders ----
 
-func (b *binder) bindFleet(f *File, root *node) {
-	fl := b.mapKey(root, "fleet", true)
-	if fl == nil {
-		return
-	}
-	b.allowKeys(fl, "copies")
-	f.Fleet.Copies = b.intKey(fl, "copies", true, 0)
-	if b.err == nil && (f.Fleet.Copies < 1 || f.Fleet.Copies > 64) {
-		b.fail(fl, "copies", "copies %d outside 1..64", f.Fleet.Copies)
-	}
-}
-
-func (b *binder) bindWorkload(f *File, root *node) {
-	w := b.mapKey(root, "workload", true)
-	if w == nil {
-		return
-	}
-	b.allowKeys(w, "transport", "uows", "buffers_per_uow", "block_bytes",
-		"inbox_depth", "policy", "shed", "credit_window", "deadline_budget",
-		"op_timeout", "redial_attempts", "gap", "spike_every", "consumer_cost",
-		"checkpoint_every", "exactly_once")
-	f.Workload = Workload{
-		Transport:       b.enumKey(w, "transport", "tcp", "tcp", "socketvia"),
-		UOWs:            b.boundedInt(w, "uows", 1, 1, 64),
-		BuffersPerUOW:   b.boundedInt(w, "buffers_per_uow", 8, 1, 4096),
-		BlockBytes:      b.boundedInt(w, "block_bytes", 4096, 1, 1<<20),
-		InboxDepth:      b.boundedInt(w, "inbox_depth", 2, 1, 1024),
-		Policy:          b.enumKey(w, "policy", "rr", "rr", "dd"),
-		Shed:            b.enumKey(w, "shed", "block", "block", "drop-oldest", "drop-newest", "degrade"),
-		CreditWindow:    b.boundedInt(w, "credit_window", 0, 0, 1024),
-		DeadlineBudget:  b.durKey(w, "deadline_budget", 0),
-		OpTimeout:       b.durKey(w, "op_timeout", 0),
-		RedialAttempts:  b.boundedInt(w, "redial_attempts", 0, 0, 64),
-		Gap:             b.durKey(w, "gap", 0),
-		SpikeEvery:      b.boundedInt(w, "spike_every", 0, 0, 4096),
-		ConsumerCost:    b.durKey(w, "consumer_cost", 0),
-		CheckpointEvery: b.durKey(w, "checkpoint_every", 0),
-		ExactlyOnce:     b.boolKey(w, "exactly_once"),
-	}
-	if b.err == nil && f.Workload.DeadlineBudget > 0 && f.Workload.Shed == "block" {
-		b.fail(w, "deadline_budget",
-			"deadline_budget requires a shedding policy (shed: block would have nowhere to put expired buffers)")
-	}
-}
-
-func (b *binder) bindLinks(f *File, root *node) {
-	ls := b.seqKey(root, "links")
-	for _, item := range ls {
+func (b *binder) bindLinks(s *chaos.Scenario, root *node) {
+	for _, item := range b.seqKey(root, "links") {
 		if b.err != nil {
 			return
 		}
@@ -133,48 +278,47 @@ func (b *binder) bindLinks(f *File, root *node) {
 			b.fail(item, "", "each link is a mapping")
 			return
 		}
-		b.allowKeys(item, "from", "to", "latency", "jitter", "loss",
-			"loss_every", "mode", "bandwidth", "corrupt", "reorder")
-		l := Link{
-			From:    b.strKey(item, "from", false, ""),
-			To:      b.strKey(item, "to", false, ""),
-			Profile: b.profile(item),
-		}
-		if b.err == nil && l.Profile.Zero() {
-			b.fail(item, "", "link profile conditions nothing")
-		}
-		f.Links = append(f.Links, l)
+		b.condition(s, item, 0, false)
 	}
 }
 
-// profile binds the netem-style condition keys of a link or condition
-// event mapping.
-func (b *binder) profile(n *node) fault.Profile {
-	p := fault.Profile{
-		Latency:       b.durKey(n, "latency", 0),
-		Jitter:        b.durKey(n, "jitter", 0),
-		LossProb:      b.probKey(n, "loss"),
-		LossEveryN:    b.boundedInt(n, "loss_every", 0, 0, 1<<20),
-		Reject:        b.enumKey(n, "mode", "drop", "drop", "reject") == "reject",
-		BandwidthMbps: b.floatKey(n, "bandwidth", 0),
-		CorruptProb:   b.probKey(n, "corrupt"),
-		ReorderProb:   b.probKey(n, "reorder"),
+// condition binds a link (a whole-run condition) or a condition event
+// starting at at into the plan.
+func (b *binder) condition(s *chaos.Scenario, item *node, at sim.Time, event bool) {
+	allowed, what := []string{"from", "to"}, "link"
+	if event {
+		allowed, what = []string{"at", "action", "from", "to", "until"}, "condition"
 	}
-	if b.err == nil && p.BandwidthMbps < 0 {
-		b.fail(n, "bandwidth", "bandwidth must be positive Mbps")
+	b.allowKeys(item, append(allowed, keys(profileFields)...)...)
+	c := fault.LinkCondition{Src: b.strKey(item, "from", false), Dst: b.strKey(item, "to", false), From: at}
+	if event {
+		c.To = b.durKey(item, "until")
+		if b.err == nil && c.To != 0 && c.To <= at {
+			b.fail(item, "until", "condition until %v must come after at %v", c.To, at)
+		}
+	}
+	bindFields(b, item, &c.Profile, profileFields)
+	p := c.Profile
+	if b.err == nil && !(p.BandwidthMbps >= 0) {
+		b.fail(item, "bandwidth", "bandwidth must be positive Mbps")
 	}
 	if b.err == nil && p.Jitter > 0 && p.Latency == 0 {
-		b.fail(n, "jitter", "jitter needs a latency to jitter around")
+		b.fail(item, "jitter", "jitter needs a latency to jitter around")
 	}
 	if b.err == nil && p.Reject && !p.Lossy() {
-		b.fail(n, "mode", "mode: reject needs loss or loss_every to apply to")
+		b.fail(item, "mode", "mode: reject needs loss or loss_every to apply to")
 	}
-	return p
+	if b.err == nil && p.Zero() {
+		b.fail(item, "", "%s profile conditions nothing", what)
+	}
+	s.Plan.Conditions = append(s.Plan.Conditions, c)
+	b.known(s, item, "from", c.Src, true)
+	b.known(s, item, "to", c.Dst, true)
 }
 
-func (b *binder) bindEvents(f *File, root *node) {
-	es := b.seqKey(root, "events")
-	for _, item := range es {
+func (b *binder) bindEvents(s *chaos.Scenario, root *node) {
+	pl := &s.Plan
+	for _, item := range b.seqKey(root, "events") {
 		if b.err != nil {
 			return
 		}
@@ -182,68 +326,72 @@ func (b *binder) bindEvents(f *File, root *node) {
 			b.fail(item, "", "each event is a mapping")
 			return
 		}
-		e := Event{
-			At:     b.durKey(item, "at", 0),
-			Action: b.strKey(item, "action", true, ""),
-		}
+		at := b.durKey(item, "at")
+		action := b.strKey(item, "action", true)
 		if b.err != nil {
 			return
 		}
-		switch e.Action {
+		switch action {
 		case "partition":
 			b.allowKeys(item, "at", "action", "between", "until")
 			pair := b.seqKey(item, "between")
 			if b.err == nil && len(pair) != 2 {
 				b.fail(item, "between", "partition needs between: [a, b]")
-				return
 			}
 			if b.err != nil {
 				return
 			}
-			e.A, e.B = b.scalarOf(pair[0]), b.scalarOf(pair[1])
-			e.Until = b.durKey(item, "until", 0)
-			if b.err == nil && e.Until <= e.At {
-				b.fail(item, "until", "partition until %v must come after at %v", e.Until, e.At)
+			pt := fault.Partition{A: b.scalarOf(pair[0]), B: b.scalarOf(pair[1]), From: at,
+				To: b.durKey(item, "until")}
+			if b.err == nil && pt.To <= at {
+				b.fail(item, "until", "partition until %v must come after at %v", pt.To, at)
 			}
-		case "crash":
+			pl.Partitions = append(pl.Partitions, pt)
+			b.known(s, item, "between", pt.A, false)
+			b.known(s, item, "between", pt.B, false)
+		case "crash", "restart":
 			b.allowKeys(item, "at", "action", "node")
-			e.Node = b.strKey(item, "node", true, "")
-		case "restart":
-			b.allowKeys(item, "at", "action", "node")
-			e.Node = b.strKey(item, "node", true, "")
+			node := b.strKey(item, "node", true)
+			b.known(s, item, "node", node, false)
+			if action == "crash" {
+				pl.Crashes = append(pl.Crashes, fault.NodeCrash{Node: node, At: at})
+				b.later = append(b.later, func() {
+					if node == "src" {
+						b.fail(item, "node", "crashing src kills the producer; crash a consumer instead")
+					}
+				})
+				continue
+			}
+			pl.Restarts = append(pl.Restarts, fault.NodeRestart{Node: node, At: at})
+			b.later = append(b.later, func() {
+				if !slices.ContainsFunc(pl.Crashes, func(cr fault.NodeCrash) bool {
+					return cr.Node == node && cr.At < at
+				}) {
+					b.fail(item, "node",
+						"restart of %q needs a strictly earlier crash of the same node", node)
+				}
+			})
 		case "slowdown":
 			b.allowKeys(item, "at", "action", "node", "factor")
-			e.Node = b.strKey(item, "node", true, "")
-			e.Factor = b.floatKey(item, "factor", 0)
-			if b.err == nil && e.Factor < 1 {
-				b.fail(item, "factor", "slowdown factor %g must be >= 1", e.Factor)
+			sl := fault.NodeSlowdown{Node: b.strKey(item, "node", true), At: at,
+				Factor: b.floatKey(item, "factor")}
+			if b.err == nil && !(sl.Factor >= 1) {
+				b.fail(item, "factor", "slowdown factor %g must be >= 1", sl.Factor)
 			}
+			pl.Slowdowns = append(pl.Slowdowns, sl)
+			b.known(s, item, "node", sl.Node, false)
 		case "condition":
-			b.allowKeys(item, "at", "action", "from", "to", "until",
-				"latency", "jitter", "loss", "loss_every", "mode",
-				"bandwidth", "corrupt", "reorder")
-			e.From = b.strKey(item, "from", false, "")
-			e.To = b.strKey(item, "to", false, "")
-			e.Until = b.durKey(item, "until", 0)
-			if b.err == nil && e.Until != 0 && e.Until <= e.At {
-				b.fail(item, "until", "condition until %v must come after at %v", e.Until, e.At)
-			}
-			e.Profile = b.profile(item)
-			if b.err == nil && e.Profile.Zero() {
-				b.fail(item, "", "condition profile conditions nothing")
-			}
+			b.condition(s, item, at, true)
 		default:
 			b.fail(item, "action",
-				"unknown action %q (want partition, crash, restart, slowdown, or condition)", e.Action)
+				"unknown action %q (want partition, crash, restart, slowdown, or condition)", action)
 			return
 		}
-		f.Events = append(f.Events, e)
 	}
 }
 
 func (b *binder) bindAssertions(f *File, root *node) {
-	as := b.seqKey(root, "assertions")
-	for _, item := range as {
+	for _, item := range b.seqKey(root, "assertions") {
 		if b.err != nil {
 			return
 		}
@@ -253,167 +401,85 @@ func (b *binder) bindAssertions(f *File, root *node) {
 		}
 		kind := item.keys[0]
 		val := item.vals[kind]
+		k, ok := assertKindOf(kind)
+		if !ok {
+			b.fail(item, kind, "unknown assertion %q", kind)
+			return
+		}
 		a := Assertion{Kind: kind}
-		switch kind {
-		case AssertInvariant:
+		switch k.arg {
+		case argName:
 			a.Name = b.scalarOf(val)
-			if b.err == nil {
-				if _, ok := invariantNames[a.Name]; !ok {
-					b.fail(item, kind, "unknown invariant %q (want accounting, liveness, credits, replay, telemetry, or exactly-once)", a.Name)
-				}
+			if b.err == nil && !slices.Contains(invariantNames, a.Name) {
+				b.fail(item, kind, "unknown invariant %q (want accounting, liveness, credits, replay, telemetry, or exactly-once)", a.Name)
 			}
-		case AssertDeliveredMin, AssertDeliveredMax, AssertShedMin,
-			AssertShedMax, AssertUnaccountedMax, AssertRedeliveredMax,
-			AssertDuplicatesMax:
+		case argCount:
 			a.N = b.intOf(val)
 			if b.err == nil && a.N < 0 {
 				b.fail(item, kind, "%s bound must be non-negative", kind)
 			}
-		case AssertEndMax:
+		case argDur:
 			a.D = b.durOf(val)
 			if b.err == nil && a.D <= 0 {
-				b.fail(item, kind, "end_at_most needs a positive duration")
+				b.fail(item, kind, "%s needs a positive duration", kind)
 			}
-		case AssertMTTRMax:
-			a.D = b.durOf(val)
-			if b.err == nil && a.D <= 0 {
-				b.fail(item, kind, "mttr_at_most needs a positive duration")
+		case argTrue:
+			if v := b.scalarOf(val); b.err == nil && v != "true" {
+				b.fail(item, kind, "%s takes the value true", kind)
 			}
-		case AssertNoAbort:
-			if s := b.scalarOf(val); b.err == nil && s != "true" {
-				b.fail(item, kind, "no_abort takes the value true")
-			}
-		case AssertRecovered:
-			if s := b.scalarOf(val); b.err == nil && s != "true" {
-				b.fail(item, kind, "recovered takes the value true")
-			}
-		default:
-			b.fail(item, kind, "unknown assertion %q", kind)
-			return
 		}
 		f.Assertions = append(f.Assertions, a)
 	}
 }
 
-// crossChecks validates references that need the whole file: node
-// names against the fleet, crash survivability.
-func (b *binder) crossChecks(f *File, root *node) {
-	if b.err != nil {
-		return
-	}
-	nodes := map[string]bool{"src": true}
-	for i := 0; i < f.Fleet.Copies; i++ {
-		nodes[consName(i)] = true
-	}
-	known := func(n *node, key, name string, wildcardOK bool) {
-		if b.err != nil {
-			return
-		}
+// known queues the check that name is a fleet node (or, where
+// wildcardOK, empty).
+func (b *binder) known(s *chaos.Scenario, n *node, key, name string, wildcardOK bool) {
+	b.later = append(b.later, func() {
 		if name == "" {
 			if !wildcardOK {
 				b.fail(n, key, "node name required")
 			}
 			return
 		}
-		if !nodes[name] {
-			b.fail(n, key, "unknown node %q (fleet has src and cons0..cons%d)",
-				name, f.Fleet.Copies-1)
-		}
-	}
-	// Positions for cross-check failures: re-walk the event and link
-	// sequences so messages point at the offending entry.
-	links := root.vals["links"]
-	if links != nil {
-		for i, item := range links.items {
-			if i >= len(f.Links) {
-				break
-			}
-			known(item, "from", f.Links[i].From, true)
-			known(item, "to", f.Links[i].To, true)
-		}
-	}
-	events := root.vals["events"]
-	crashes, restarts := 0, 0
-	if events != nil {
-		for i, item := range events.items {
-			if i >= len(f.Events) {
-				break
-			}
-			e := f.Events[i]
-			switch e.Action {
-			case "partition":
-				known(item, "between", e.A, false)
-				known(item, "between", e.B, false)
-			case "crash":
-				known(item, "node", e.Node, false)
-				if b.err == nil && e.Node == "src" {
-					b.fail(item, "node", "crashing src kills the producer; crash a consumer instead")
-				}
-				crashes++
-			case "restart":
-				known(item, "node", e.Node, false)
-				covered := false
-				for _, other := range f.Events {
-					if other.Action == "crash" && other.Node == e.Node && other.At < e.At {
-						covered = true
-					}
-				}
-				if b.err == nil && !covered {
-					b.fail(item, "node",
-						"restart of %q needs a strictly earlier crash of the same node", e.Node)
-				}
-				restarts++
-			case "slowdown":
-				known(item, "node", e.Node, false)
-			case "condition":
-				known(item, "from", e.From, true)
-				known(item, "to", e.To, true)
+		for i := 0; i < s.Copies; i++ {
+			if name == consName(i) {
+				return
 			}
 		}
+		if name != "src" {
+			b.fail(n, key, "unknown node %q (fleet has src and cons0..cons%d)", name, s.Copies-1)
+		}
+	})
+}
+
+// crossChecks runs the queued whole-file checks in file order, then
+// requires that crashes leave a live consumer copy.
+func (b *binder) crossChecks(s *chaos.Scenario, root *node) {
+	if b.err != nil {
+		return
 	}
-	if restarts == 0 {
-		if b.err == nil && crashes >= f.Fleet.Copies {
+	for _, check := range b.later {
+		check()
+	}
+	if b.err != nil {
+		return
+	}
+	if len(s.Plan.Restarts) == 0 {
+		if len(s.Plan.Crashes) >= s.Copies {
 			b.fail(root, "events", "%d crashes would leave no live consumer of %d copies",
-				crashes, f.Fleet.Copies)
+				len(s.Plan.Crashes), s.Copies)
 		}
 		return
 	}
 	// With restarts, survivability is a sweep, not a count: at every
-	// instant at least one consumer copy must be up. Mirrors the chaos
-	// harness's validity rule so compiled scenarios are valid by
+	// instant at least one consumer copy must be up. The chaos harness's
+	// validity rule runs the same sweep, so bound scenarios are valid by
 	// construction.
-	type ev struct {
-		at   sim.Time
-		up   bool
-		node string
-	}
-	// Crashes before restarts at equal instants (conservative, and the
-	// same tie-break the chaos validity sweep uses).
-	var evs []ev
-	for _, e := range f.Events {
-		if e.Action == "crash" {
-			evs = append(evs, ev{e.At, false, e.Node})
-		}
-	}
-	for _, e := range f.Events {
-		if e.Action == "restart" {
-			evs = append(evs, ev{e.At, true, e.Node})
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-	down := map[string]bool{}
-	for _, e := range evs {
-		if e.up {
-			delete(down, e.node)
-		} else {
-			down[e.node] = true
-		}
-		if b.err == nil && len(down) >= f.Fleet.Copies {
-			b.fail(root, "events",
-				"at %s every consumer copy of %d is down; stagger the crashes or restart sooner",
-				durString(e.at), f.Fleet.Copies)
-			return
-		}
+	if at, down := chaos.AllDownAt(s.Plan, s.Copies); down {
+		b.fail(root, "events",
+			"at %s every consumer copy of %d is down; stagger the crashes or restart sooner",
+			durString(at), s.Copies)
 	}
 }
 
@@ -424,14 +490,7 @@ func (b *binder) allowKeys(n *node, allowed ...string) {
 		return
 	}
 	for _, k := range n.keys {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(allowed, k) {
 			b.fail(n, k, "unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
 			return
 		}
@@ -489,26 +548,12 @@ func (b *binder) scalarKey(n *node, key string, required bool) (*node, bool) {
 	return child, true
 }
 
-func (b *binder) strKey(n *node, key string, required bool, def string) string {
+func (b *binder) strKey(n *node, key string, required bool) string {
 	child, ok := b.scalarKey(n, key, required)
 	if !ok {
-		return def
+		return ""
 	}
 	return child.scalar
-}
-
-func (b *binder) enumKey(n *node, key, def string, allowed ...string) string {
-	child, ok := b.scalarKey(n, key, false)
-	if !ok {
-		return def
-	}
-	for _, a := range allowed {
-		if child.scalar == a {
-			return child.scalar
-		}
-	}
-	b.fail(n, key, "%q is not one of %s", child.scalar, strings.Join(allowed, ", "))
-	return def
 }
 
 func (b *binder) intKey(n *node, key string, required bool, def int) int {
@@ -524,56 +569,23 @@ func (b *binder) intKey(n *node, key string, required bool, def int) int {
 	return int(v)
 }
 
-func (b *binder) boundedInt(n *node, key string, def, lo, hi int) int {
-	v := b.intKey(n, key, false, def)
-	if b.err == nil && (v < lo || v > hi) {
-		b.fail(n, key, "%s %d outside %d..%d", key, v, lo, hi)
-		return def
-	}
-	return v
-}
-
-func (b *binder) boolKey(n *node, key string) bool {
+func (b *binder) floatKey(n *node, key string) float64 {
 	child, ok := b.scalarKey(n, key, false)
 	if !ok {
-		return false
-	}
-	switch child.scalar {
-	case "true":
-		return true
-	case "false":
-		return false
-	}
-	b.fail(n, key, "%q is not a boolean (want true or false)", child.scalar)
-	return false
-}
-
-func (b *binder) floatKey(n *node, key string, def float64) float64 {
-	child, ok := b.scalarKey(n, key, false)
-	if !ok {
-		return def
+		return 0
 	}
 	v, err := strconv.ParseFloat(child.scalar, 64)
 	if err != nil {
 		b.fail(n, key, "%q is not a number", child.scalar)
-		return def
-	}
-	return v
-}
-
-func (b *binder) probKey(n *node, key string) float64 {
-	v := b.floatKey(n, key, 0)
-	if b.err == nil && (v < 0 || v > 1) {
-		b.fail(n, key, "%s %g outside [0, 1]", key, v)
 		return 0
 	}
-	return v
+	return v + 0 // -0 reads as 0
 }
 
-func (b *binder) durKey(n *node, key string, def sim.Time) sim.Time {
+func (b *binder) durKey(n *node, key string) sim.Time {
 	child, ok := b.scalarKey(n, key, false)
 	if !ok {
-		return def
+		return 0
 	}
 	return b.durOf(child)
 }

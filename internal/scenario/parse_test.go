@@ -2,9 +2,14 @@ package scenario
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hpsockets/internal/chaos"
+	"hpsockets/internal/core"
+	"hpsockets/internal/datacutter"
+	"hpsockets/internal/fault"
 	"hpsockets/internal/sim"
 )
 
@@ -64,40 +69,44 @@ assertions:
   - no_abort: true
 `
 
+// TestParseHappyYAML: every construct binds to the chaos scenario it
+// describes, links and events straight into the fault plan.
 func TestParseHappyYAML(t *testing.T) {
 	f, err := Parse("full.yaml", []byte(happyYAML))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if f.Name != "full-house" || f.Seed != 7 || f.Fleet.Copies != 2 {
-		t.Fatalf("header misparsed: %+v", f)
+	if f.Name != "full-house" {
+		t.Fatalf("name = %q", f.Name)
 	}
 	if want := "uses \"every\" construct\n(two lines)"; f.Description != want {
 		t.Fatalf("description = %q, want %q", f.Description, want)
 	}
-	w := f.Workload
-	if w.Transport != "socketvia" || w.Policy != "dd" || w.Shed != "drop-oldest" {
-		t.Fatalf("workload enums misparsed: %+v", w)
+	want := chaos.Scenario{
+		Seed: 7, Kind: core.KindSocketVIA, Copies: 2, UOWs: 2, BuffersPerUOW: 10,
+		BlockBytes: 2048, InboxDepth: 3, Policy: datacutter.DemandDriven,
+		Shed: datacutter.DropOldest, CreditWindow: 4, DeadlineBudget: 8 * sim.Millisecond,
+		OpTimeout: 5 * sim.Millisecond, RedialAttempts: 2, Gap: 50 * sim.Microsecond,
+		SpikeEvery: 2, ConsumerCost: 25 * sim.Microsecond,
+		Plan: fault.Plan{
+			Seed: 7 ^ 0x5eed,
+			Conditions: []fault.LinkCondition{
+				{Src: "src", Dst: "cons0", Profile: fault.Profile{
+					Latency: 250 * sim.Microsecond, Jitter: 50 * sim.Microsecond, LossProb: 0.01}},
+				{Src: "src", Dst: "cons1", From: 4 * sim.Millisecond, To: 6 * sim.Millisecond,
+					Profile: fault.Profile{LossEveryN: 9, Reject: true}},
+			},
+			Partitions: []fault.Partition{
+				{A: "src", B: "cons1", From: sim.Millisecond, To: 3 * sim.Millisecond}},
+			Crashes: []fault.NodeCrash{{Node: "cons1", At: 5 * sim.Millisecond}},
+			Slowdowns: []fault.NodeSlowdown{
+				{Node: "cons0", At: 2 * sim.Millisecond, Factor: 2.5}},
+		},
 	}
-	if w.DeadlineBudget != 8*sim.Millisecond || w.Gap != 50*sim.Microsecond {
-		t.Fatalf("workload durations misparsed: %+v", w)
+	if got := f.Scenario(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scenario misbound:\n got %+v\nwant %+v", got, want)
 	}
-	if len(f.Links) != 1 || f.Links[0].Profile.LossProb != 0.01 ||
-		f.Links[0].Profile.Latency != 250*sim.Microsecond {
-		t.Fatalf("links misparsed: %+v", f.Links)
-	}
-	if len(f.Events) != 4 {
-		t.Fatalf("events = %d, want 4", len(f.Events))
-	}
-	if e := f.Events[0]; e.Action != "partition" || e.A != "src" || e.B != "cons1" ||
-		e.At != sim.Millisecond || e.Until != 3*sim.Millisecond {
-		t.Fatalf("partition misparsed: %+v", e)
-	}
-	if e := f.Events[2]; e.Action != "condition" || !e.Profile.Reject ||
-		e.Profile.LossEveryN != 9 {
-		t.Fatalf("condition misparsed: %+v", e)
-	}
-	if len(f.Assertions) != 6 || f.Assertions[2].Kind != AssertDeliveredMin ||
+	if len(f.Assertions) != 6 || f.Assertions[2].Kind != "delivered_at_least" ||
 		f.Assertions[2].N != 10 || f.Assertions[4].D != 9*sim.Second {
 		t.Fatalf("assertions misparsed: %+v", f.Assertions)
 	}

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"hpsockets/internal/chaos"
@@ -63,82 +66,123 @@ func Evaluate(f *File, rep chaos.Report) []string {
 	return out
 }
 
-func describeAssertion(a Assertion) string {
-	switch a.Kind {
-	case AssertInvariant:
-		return a.Kind + " " + a.Name
-	case AssertEndMax, AssertMTTRMax:
-		return fmt.Sprintf("%s %s", a.Kind, durString(a.D))
-	case AssertNoAbort, AssertRecovered:
-		return a.Kind
-	default:
-		return fmt.Sprintf("%s %d", a.Kind, a.N)
-	}
+// Value types of an assertion: what the file writes after the kind.
+const (
+	argName  = iota // an invariant name, Assertion.Name
+	argCount        // a non-negative count, Assertion.N
+	argDur          // a positive duration, Assertion.D
+	argTrue         // the literal true
+)
+
+// assertKind is one assertion kind: the type of its value, and its
+// check, which returns "" when the assertion holds against the report,
+// else the reason.
+type assertKind struct {
+	kind  string
+	arg   int
+	check func(a Assertion, r chaos.Report) string
 }
 
-// assertFailure returns "" when the assertion holds, else the reason.
-func assertFailure(a Assertion, rep chaos.Report) string {
-	switch a.Kind {
-	case AssertInvariant:
-		prefix := invariantNames[a.Name] + ":"
-		for _, v := range rep.Violations {
-			if strings.HasPrefix(v, prefix) {
+// assertKinds is the one table of assertion kinds; binding, Marshal,
+// Render and Evaluate all look kinds up here. Count bounds compare
+// against the run report; "invariant" requires that no violation with
+// the named prefix was recorded; "recovered" that a consumer copy
+// restarted mid-run and redelivered after its restart; "no_abort" that
+// the producer finished without error.
+var assertKinds = []assertKind{
+	{"invariant", argName, func(a Assertion, r chaos.Report) string {
+		for _, v := range r.Violations {
+			if strings.HasPrefix(v, a.Name+":") {
 				return v
 			}
 		}
 		return ""
-	case AssertDeliveredMin:
-		if rep.Delivered < a.N {
-			return fmt.Sprintf("delivered %d < %d", rep.Delivered, a.N)
-		}
-	case AssertDeliveredMax:
-		if rep.Delivered > a.N {
-			return fmt.Sprintf("delivered %d > %d", rep.Delivered, a.N)
-		}
-	case AssertShedMin:
-		if rep.Shed < a.N {
-			return fmt.Sprintf("shed %d < %d", rep.Shed, a.N)
-		}
-	case AssertShedMax:
-		if rep.Shed > a.N {
-			return fmt.Sprintf("shed %d > %d", rep.Shed, a.N)
-		}
-	case AssertUnaccountedMax:
-		if rep.Unaccounted > a.N {
-			return fmt.Sprintf("unaccounted %d > %d", rep.Unaccounted, a.N)
-		}
-	case AssertRedeliveredMax:
-		if rep.Redelivered > a.N {
-			return fmt.Sprintf("redelivered %d > %d", rep.Redelivered, a.N)
-		}
-	case AssertDuplicatesMax:
-		if rep.Duplicates > uint64(a.N) {
-			return fmt.Sprintf("ledger suppressed %d duplicates > %d", rep.Duplicates, a.N)
-		}
-	case AssertEndMax:
-		if rep.End > a.D {
-			return fmt.Sprintf("run ended at %v > %v", rep.End, a.D)
-		}
-	case AssertMTTRMax:
-		if rep.MTTR > a.D {
-			return fmt.Sprintf("recovery took %v > %v", rep.MTTR, a.D)
-		}
-	case AssertRecovered:
-		if rep.Restarts == 0 {
-			return "no consumer copy restarted"
-		}
-		if rep.MTTR == 0 {
-			return "restarted copy never redelivered (restart fired after quiesce?)"
-		}
-	case AssertNoAbort:
-		if rep.Aborted {
+	}},
+	{"delivered_at_least", argCount, func(a Assertion, r chaos.Report) string { return under("delivered", r.Delivered, a.N) }},
+	{"delivered_at_most", argCount, func(a Assertion, r chaos.Report) string { return over("delivered", r.Delivered, a.N) }},
+	{"shed_at_least", argCount, func(a Assertion, r chaos.Report) string { return under("shed", r.Shed, a.N) }},
+	{"shed_at_most", argCount, func(a Assertion, r chaos.Report) string { return over("shed", r.Shed, a.N) }},
+	{"unaccounted_at_most", argCount, func(a Assertion, r chaos.Report) string { return over("unaccounted", r.Unaccounted, a.N) }},
+	{"redelivered_at_most", argCount, func(a Assertion, r chaos.Report) string { return over("redelivered", r.Redelivered, a.N) }},
+	{"end_at_most", argDur, func(a Assertion, r chaos.Report) string { return over("run ended at", r.End, a.D) }},
+	{"no_abort", argTrue, func(a Assertion, r chaos.Report) string {
+		if r.Aborted {
 			return "producer aborted"
 		}
-		if rep.GroupErr != "" {
-			return "group error: " + rep.GroupErr
+		if r.GroupErr != "" {
+			return "group error: " + r.GroupErr
 		}
+		return ""
+	}},
+	{"recovered", argTrue, func(a Assertion, r chaos.Report) string {
+		if r.Restarts == 0 {
+			return "no consumer copy restarted"
+		}
+		if r.MTTR == 0 {
+			return "restarted copy never redelivered (restart fired after quiesce?)"
+		}
+		return ""
+	}},
+	// duplicates_at_most bounds the redeliveries the exactly-once ledger
+	// suppressed; mttr_at_most the worst restart-to-first-redelivery gap.
+	{"duplicates_at_most", argCount, func(a Assertion, r chaos.Report) string {
+		if r.Duplicates > uint64(a.N) {
+			return fmt.Sprintf("ledger suppressed %d duplicates > %d", r.Duplicates, a.N)
+		}
+		return ""
+	}},
+	{"mttr_at_most", argDur, func(a Assertion, r chaos.Report) string { return over("recovery took", r.MTTR, a.D) }},
+}
+
+// over and under render a failed bound as "what got op limit", or ""
+// when the bound holds.
+func over[T cmp.Ordered](what string, got, limit T) string {
+	if got > limit {
+		return fmt.Sprintf("%s %v > %v", what, got, limit)
 	}
 	return ""
+}
+
+func under[T cmp.Ordered](what string, got, limit T) string {
+	if got < limit {
+		return fmt.Sprintf("%s %v < %v", what, got, limit)
+	}
+	return ""
+}
+
+func assertKindOf(kind string) (assertKind, bool) {
+	i := slices.IndexFunc(assertKinds, func(k assertKind) bool { return k.kind == kind })
+	if i < 0 {
+		return assertKind{}, false
+	}
+	return assertKinds[i], true
+}
+
+// value renders the assertion's value as the file writes it.
+func (a Assertion) value() string {
+	k, _ := assertKindOf(a.Kind)
+	switch k.arg {
+	case argName:
+		return a.Name
+	case argCount:
+		return strconv.Itoa(a.N)
+	case argDur:
+		return durString(a.D)
+	}
+	return "true"
+}
+
+func describeAssertion(a Assertion) string {
+	if k, _ := assertKindOf(a.Kind); k.arg == argTrue {
+		return a.Kind
+	}
+	return a.Kind + " " + a.value()
+}
+
+// assertFailure returns "" when the assertion holds, else the reason.
+func assertFailure(a Assertion, rep chaos.Report) string {
+	k, _ := assertKindOf(a.Kind)
+	return k.check(a, rep)
 }
 
 // ShrinkFile reduces a failing scenario file to a minimal reproducer

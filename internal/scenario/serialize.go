@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,154 +15,168 @@ import (
 )
 
 // Marshal renders the file in canonical form: fixed key order, values
-// that differ from the binder's defaults only, durations in the
-// largest evenly-dividing unit, floats in shortest round-trip form.
-// Canonical output is a fixed point: Parse(f.Marshal()) re-marshals to
-// the same bytes, which is what lets shrunk reproducers and replay
-// diffs compare scenario files byte-for-byte.
+// that differ from the binder's defaults only, links and events in
+// canonical order (see canonical), durations in the largest
+// evenly-dividing unit, floats in shortest round-trip form. Canonical
+// output is a fixed point: Parse(f.Marshal()) re-marshals to the same
+// bytes and yields the same scenario, which is what lets shrunk
+// reproducers and replay diffs compare scenario files byte-for-byte.
 func (f *File) Marshal() []byte {
 	var b bytes.Buffer
+	s := &f.s
 	fmt.Fprintf(&b, "version: %d\n", Version)
 	fmt.Fprintf(&b, "name: %s\n", f.Name)
 	if f.Description != "" {
 		fmt.Fprintf(&b, "description: %s\n", quote(f.Description))
 	}
-	fmt.Fprintf(&b, "seed: %d\n", f.Seed)
-	b.WriteString("fleet:\n")
-	fmt.Fprintf(&b, "  copies: %d\n", f.Fleet.Copies)
-
-	w := f.Workload
+	fmt.Fprintf(&b, "seed: %d\n", s.Seed)
+	fmt.Fprintf(&b, "fleet:\n  copies: %d\n", s.Copies)
 	b.WriteString("workload:\n")
-	fmt.Fprintf(&b, "  transport: %s\n", w.Transport) // always, so the section is never empty
-	writeInt(&b, "  uows", w.UOWs, 1)
-	writeInt(&b, "  buffers_per_uow", w.BuffersPerUOW, 8)
-	writeInt(&b, "  block_bytes", w.BlockBytes, 4096)
-	writeInt(&b, "  inbox_depth", w.InboxDepth, 2)
-	writeStr(&b, "  policy", w.Policy, "rr")
-	writeStr(&b, "  shed", w.Shed, "block")
-	writeInt(&b, "  credit_window", w.CreditWindow, 0)
-	writeDur(&b, "  deadline_budget", w.DeadlineBudget)
-	writeDur(&b, "  op_timeout", w.OpTimeout)
-	writeInt(&b, "  redial_attempts", w.RedialAttempts, 0)
-	writeDur(&b, "  gap", w.Gap)
-	writeInt(&b, "  spike_every", w.SpikeEvery, 0)
-	writeDur(&b, "  consumer_cost", w.ConsumerCost)
-	writeDur(&b, "  checkpoint_every", w.CheckpointEvery)
-	if w.ExactlyOnce {
-		b.WriteString("  exactly_once: true\n")
+	writeFields(s, workloadFields, func(key, val string) {
+		fmt.Fprintf(&b, "  %s: %s\n", key, val)
+	})
+
+	p := canonical(s.Plan)
+	type event struct {
+		at sim.Time
+		it *item
+	}
+	var links []*item
+	var events []event
+	addEvent := func(at sim.Time, action string, kv ...string) *item {
+		it := &item{}
+		it.put("at", durString(at))
+		it.put("action", action)
+		for i := 0; i < len(kv); i += 2 {
+			it.put(kv[i], kv[i+1])
+		}
+		events = append(events, event{at, it})
+		return it
+	}
+	// Kinds are added in canonical rank, so the stable sort by time
+	// below orders equal instants by rank, then canonically.
+	for _, pt := range p.Partitions {
+		addEvent(pt.From, "partition", "between", "["+pt.A+", "+pt.B+"]", "until", durString(pt.To))
+	}
+	for _, cr := range p.Crashes {
+		addEvent(cr.At, "crash", "node", cr.Node)
+	}
+	for _, rs := range p.Restarts {
+		addEvent(rs.At, "restart", "node", rs.Node)
+	}
+	for _, sl := range p.Slowdowns {
+		addEvent(sl.At, "slowdown", "node", sl.Node, "factor", ftoaCanon(sl.Factor))
+	}
+	for _, c := range p.Conditions {
+		// A whole-run condition is a link; a windowed one is an event.
+		it := &item{}
+		if c.From == 0 && c.To == 0 {
+			links = append(links, it)
+		} else {
+			it = addEvent(c.From, "condition")
+		}
+		if c.Src != "" {
+			it.put("from", c.Src)
+		}
+		if c.Dst != "" {
+			it.put("to", c.Dst)
+		}
+		if c.To != 0 {
+			it.put("until", durString(c.To))
+		}
+		writeFields(&c.Profile, profileFields, it.put)
+	}
+	if len(links) > 0 {
+		b.WriteString("links:\n")
+	}
+	for _, it := range links {
+		b.WriteString(it.String())
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
+	if len(events) > 0 {
+		b.WriteString("events:\n")
+	}
+	for _, e := range events {
+		b.WriteString(e.it.String())
 	}
 
-	if len(f.Links) > 0 {
-		b.WriteString("links:\n")
-		for _, l := range f.Links {
-			first := true
-			writeItemStr(&b, &first, "from", l.From, "")
-			writeItemStr(&b, &first, "to", l.To, "")
-			writeProfile(&b, &first, l.Profile)
-		}
-	}
-	if len(f.Events) > 0 {
-		b.WriteString("events:\n")
-		for _, e := range f.Events {
-			first := true
-			writeItemStr(&b, &first, "at", durString(e.At), "\x00")
-			writeItemStr(&b, &first, "action", e.Action, "\x00")
-			switch e.Action {
-			case "partition":
-				writeItemStr(&b, &first, "between", "["+e.A+", "+e.B+"]", "\x00")
-				writeItemStr(&b, &first, "until", durString(e.Until), "\x00")
-			case "crash", "restart":
-				writeItemStr(&b, &first, "node", e.Node, "\x00")
-			case "slowdown":
-				writeItemStr(&b, &first, "node", e.Node, "\x00")
-				writeItemStr(&b, &first, "factor", ftoaCanon(e.Factor), "\x00")
-			case "condition":
-				writeItemStr(&b, &first, "from", e.From, "")
-				writeItemStr(&b, &first, "to", e.To, "")
-				if e.Until != 0 {
-					writeItemStr(&b, &first, "until", durString(e.Until), "\x00")
-				}
-				writeProfile(&b, &first, e.Profile)
-			}
-		}
-	}
 	if len(f.Assertions) > 0 {
 		b.WriteString("assertions:\n")
 		for _, a := range f.Assertions {
-			switch a.Kind {
-			case AssertInvariant:
-				fmt.Fprintf(&b, "  - %s: %s\n", a.Kind, a.Name)
-			case AssertEndMax, AssertMTTRMax:
-				fmt.Fprintf(&b, "  - %s: %s\n", a.Kind, durString(a.D))
-			case AssertNoAbort, AssertRecovered:
-				fmt.Fprintf(&b, "  - %s: true\n", a.Kind)
-			default:
-				fmt.Fprintf(&b, "  - %s: %d\n", a.Kind, a.N)
-			}
+			fmt.Fprintf(&b, "  - %s: %s\n", a.Kind, a.value())
 		}
 	}
 	return b.Bytes()
 }
 
-func writeInt(b *bytes.Buffer, key string, v, def int) {
-	if v != def {
-		fmt.Fprintf(b, "%s: %d\n", key, v)
+// item renders one sequence entry; its first key carries the dash.
+type item struct{ strings.Builder }
+
+func (it *item) put(key, val string) {
+	if it.Len() == 0 {
+		it.WriteString("  - ")
+	} else {
+		it.WriteString("    ")
 	}
+	it.WriteString(key + ": " + val + "\n")
 }
 
-func writeStr(b *bytes.Buffer, key, v, def string) {
-	if v != def {
-		fmt.Fprintf(b, "%s: %s\n", key, v)
-	}
+// canonical returns the plan with every entry list copied and sorted
+// into canonical order: by time, then by node names, then by the
+// remaining parameters. Fault outcomes do not depend on slice order
+// (conditions carry identity-keyed random streams; crashes, restarts,
+// partitions and slowdowns are timed), so canonical order makes a
+// scenario independent of the order its file lists links and events
+// in.
+func canonical(p fault.Plan) fault.Plan {
+	p.Conditions = slices.Clone(p.Conditions)
+	slices.SortStableFunc(p.Conditions, func(a, b fault.LinkCondition) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), strings.Compare(a.Src, b.Src),
+			strings.Compare(a.Dst, b.Dst), cmp.Compare(a.To, b.To),
+			strings.Compare(profileKey(a.Profile), profileKey(b.Profile)))
+	})
+	p.Partitions = slices.Clone(p.Partitions)
+	slices.SortStableFunc(p.Partitions, func(a, b fault.Partition) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), strings.Compare(a.A, b.A),
+			strings.Compare(a.B, b.B), cmp.Compare(a.To, b.To))
+	})
+	p.Crashes = slices.Clone(p.Crashes)
+	slices.SortStableFunc(p.Crashes, func(a, b fault.NodeCrash) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), strings.Compare(a.Node, b.Node))
+	})
+	p.Restarts = slices.Clone(p.Restarts)
+	slices.SortStableFunc(p.Restarts, func(a, b fault.NodeRestart) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), strings.Compare(a.Node, b.Node))
+	})
+	p.Slowdowns = slices.Clone(p.Slowdowns)
+	slices.SortStableFunc(p.Slowdowns, func(a, b fault.NodeSlowdown) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), strings.Compare(a.Node, b.Node),
+			cmp.Compare(a.Factor, b.Factor))
+	})
+	return p
 }
 
-func writeDur(b *bytes.Buffer, key string, v sim.Time) {
-	if v != 0 {
-		fmt.Fprintf(b, "%s: %s\n", key, durString(v))
-	}
+func profileKey(p fault.Profile) string {
+	return fmt.Sprintf("%d|%d|%s|%d|%v|%s|%s|%s", p.Latency, p.Jitter,
+		ftoaCanon(p.LossProb), p.LossEveryN, p.Reject,
+		ftoaCanon(p.BandwidthMbps), ftoaCanon(p.CorruptProb), ftoaCanon(p.ReorderProb))
 }
 
-// writeItemStr writes one key of a sequence item, prefixing the first
-// written key with the dash. def "\x00" means "always write".
-func writeItemStr(b *bytes.Buffer, first *bool, key, v, def string) {
-	if v == def {
-		return
+// FromScenario lifts a chaos scenario into file form, carrying the
+// given assertions along: the inverse of File.Scenario, used to emit
+// shrunk reproducers. Legacy LinkFault entries become equivalent
+// lossy whole-run conditions (same probabilities; the per-entry random
+// stream keys differ, so prefer shrinking DSL-bound scenarios, whose
+// plans round-trip exactly). Descriptor pressure has no file syntax
+// and is dropped.
+func FromScenario(s chaos.Scenario, name, description string, assertions []Assertion) *File {
+	conds := slices.Clone(s.Plan.Conditions)
+	for _, lf := range s.Plan.Links {
+		conds = append(conds, fault.LinkCondition{Src: lf.Src, Dst: lf.Dst,
+			Profile: fault.Profile{LossProb: lf.DropProb, CorruptProb: lf.CorruptProb}})
 	}
-	if *first {
-		fmt.Fprintf(b, "  - %s: %s\n", key, v)
-		*first = false
-		return
-	}
-	fmt.Fprintf(b, "    %s: %s\n", key, v)
-}
-
-// writeProfile writes the non-zero netem keys of a condition profile
-// in canonical order.
-func writeProfile(b *bytes.Buffer, first *bool, p fault.Profile) {
-	if p.Latency != 0 {
-		writeItemStr(b, first, "latency", durString(p.Latency), "\x00")
-	}
-	if p.Jitter != 0 {
-		writeItemStr(b, first, "jitter", durString(p.Jitter), "\x00")
-	}
-	if p.LossProb != 0 {
-		writeItemStr(b, first, "loss", ftoaCanon(p.LossProb), "\x00")
-	}
-	if p.LossEveryN != 0 {
-		writeItemStr(b, first, "loss_every", strconv.Itoa(p.LossEveryN), "\x00")
-	}
-	if p.Reject {
-		writeItemStr(b, first, "mode", "reject", "\x00")
-	}
-	if p.BandwidthMbps != 0 {
-		writeItemStr(b, first, "bandwidth", ftoaCanon(p.BandwidthMbps), "\x00")
-	}
-	if p.CorruptProb != 0 {
-		writeItemStr(b, first, "corrupt", ftoaCanon(p.CorruptProb), "\x00")
-	}
-	if p.ReorderProb != 0 {
-		writeItemStr(b, first, "reorder", ftoaCanon(p.ReorderProb), "\x00")
-	}
+	s.Plan.Conditions, s.Plan.Links, s.Plan.Pressure = conds, nil, nil
+	return &File{Name: name, Description: description, Assertions: assertions, s: s}
 }
 
 // durString renders a duration in the largest unit that divides it
@@ -204,104 +220,4 @@ func quote(s string) string {
 	}
 	b.WriteByte('"')
 	return b.String()
-}
-
-// FromScenario lifts a chaos scenario back into file form, carrying
-// the given assertions along — the inverse of File.Scenario used to
-// emit shrunk reproducers. Whole-run conditions become links; windowed
-// ones, partitions, crashes and slowdowns become events sorted by
-// time. Legacy LinkFault entries are translated into equivalent lossy
-// link profiles (same probabilities; the per-entry random stream keys
-// differ, so prefer shrinking DSL-compiled scenarios, whose plans
-// round-trip exactly). Descriptor pressure has no file syntax and is
-// dropped.
-func FromScenario(s chaos.Scenario, name, description string, assertions []Assertion) *File {
-	f := &File{Name: name, Description: description, Seed: s.Seed}
-	f.Fleet.Copies = s.Copies
-	f.Workload = Workload{
-		Transport:       s.Kind.String(),
-		UOWs:            s.UOWs,
-		BuffersPerUOW:   s.BuffersPerUOW,
-		BlockBytes:      s.BlockBytes,
-		InboxDepth:      s.InboxDepth,
-		Policy:          s.Policy.String(),
-		Shed:            s.Shed.String(),
-		CreditWindow:    s.CreditWindow,
-		DeadlineBudget:  s.DeadlineBudget,
-		OpTimeout:       s.OpTimeout,
-		RedialAttempts:  s.RedialAttempts,
-		Gap:             s.Gap,
-		SpikeEvery:      s.SpikeEvery,
-		ConsumerCost:    s.ConsumerCost,
-		CheckpointEvery: s.CheckpointEvery,
-		ExactlyOnce:     s.ExactlyOnce,
-	}
-	for _, lf := range s.Plan.Links {
-		f.Links = append(f.Links, Link{From: lf.Src, To: lf.Dst,
-			Profile: fault.Profile{LossProb: lf.DropProb, CorruptProb: lf.CorruptProb}})
-	}
-	for _, lc := range s.Plan.Conditions {
-		if lc.From == 0 && lc.To == 0 {
-			f.Links = append(f.Links, Link{From: lc.Src, To: lc.Dst, Profile: lc.Profile})
-			continue
-		}
-		f.Events = append(f.Events, Event{At: lc.From, Action: "condition",
-			Until: lc.To, From: lc.Src, To: lc.Dst, Profile: lc.Profile})
-	}
-	for _, pt := range s.Plan.Partitions {
-		f.Events = append(f.Events, Event{At: pt.From, Action: "partition",
-			A: pt.A, B: pt.B, Until: pt.To})
-	}
-	for _, cr := range s.Plan.Crashes {
-		f.Events = append(f.Events, Event{At: cr.At, Action: "crash", Node: cr.Node})
-	}
-	for _, rs := range s.Plan.Restarts {
-		f.Events = append(f.Events, Event{At: rs.At, Action: "restart", Node: rs.Node})
-	}
-	for _, sl := range s.Plan.Slowdowns {
-		f.Events = append(f.Events, Event{At: sl.At, Action: "slowdown",
-			Node: sl.Node, Factor: sl.Factor})
-	}
-	sortLinks(f.Links)
-	sortEvents(f.Events)
-	f.Assertions = assertions
-	return f
-}
-
-func sortLinks(ls []Link) {
-	sort.SliceStable(ls, func(i, j int) bool {
-		a, b := ls[i], ls[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return profileKey(a.Profile) < profileKey(b.Profile)
-	})
-}
-
-func sortEvents(es []Event) {
-	rank := map[string]int{"partition": 0, "crash": 1, "restart": 2, "slowdown": 3, "condition": 4}
-	sort.SliceStable(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if rank[a.Action] != rank[b.Action] {
-			return rank[a.Action] < rank[b.Action]
-		}
-		return eventKey(a) < eventKey(b)
-	})
-}
-
-func profileKey(p fault.Profile) string {
-	return fmt.Sprintf("%d|%d|%s|%d|%v|%s|%s|%s", p.Latency, p.Jitter,
-		ftoaCanon(p.LossProb), p.LossEveryN, p.Reject,
-		ftoaCanon(p.BandwidthMbps), ftoaCanon(p.CorruptProb), ftoaCanon(p.ReorderProb))
-}
-
-func eventKey(e Event) string {
-	return fmt.Sprintf("%s|%s|%s|%s|%s|%d|%s", e.Node, e.A, e.B, e.From, e.To,
-		e.Until, profileKey(e.Profile))
 }
