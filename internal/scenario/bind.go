@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"slices"
 	"strconv"
@@ -651,10 +652,13 @@ func parseDuration(s string) (sim.Time, error) {
 			continue // e.g. "5ms" reaching the "s" case with num "5m"
 		}
 		v, err := strconv.ParseFloat(num, 64)
-		if err != nil || v < 0 {
+		if err != nil || !(v >= 0) {
 			return 0, fmt.Errorf("%q is not a duration (want e.g. 250us, 5ms)", s)
 		}
-		return sim.Time(v*float64(u.unit) + 0.5), nil
+		if d := v*float64(u.unit) + 0.5; d < math.MaxInt64 {
+			return sim.Time(d), nil
+		}
+		return 0, fmt.Errorf("%q exceeds the longest duration, %s", s, durString(math.MaxInt64))
 	}
 	return 0, fmt.Errorf("%q is not a duration (want a number with ns, us, ms, or s)", s)
 }

@@ -282,14 +282,18 @@ func TestParseDuration(t *testing.T) {
 			t.Fatalf("parseDuration(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "5", "ms", "-1ms", "5 ms", "5m"} {
+	// Durations that overflow sim.Time, or are not numbers at all, are
+	// rejected rather than wrapped into negative times durString cannot
+	// write back.
+	for _, bad := range []string{"", "5", "ms", "-1ms", "5 ms", "5m", "NaNs", "Infms",
+		"1e30s", "9223372037s"} {
 		if _, err := parseDuration(bad); err == nil {
 			t.Fatalf("parseDuration(%q) succeeded, want error", bad)
 		}
 	}
 	// durString is the inverse on everything it emits.
 	for _, d := range []sim.Time{0, 17, 250 * sim.Microsecond, 5 * sim.Millisecond,
-		1500 * sim.Microsecond, 2 * sim.Second} {
+		1500 * sim.Microsecond, 2 * sim.Second, 9223372036 * sim.Second} {
 		back, err := parseDuration(durString(d))
 		if err != nil || back != d {
 			t.Fatalf("round trip %v -> %q -> %v, %v", d, durString(d), back, err)

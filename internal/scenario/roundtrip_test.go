@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,7 +9,7 @@ import (
 )
 
 // libraryFiles loads every checked-in scenario under scenarios/.
-func libraryFiles(t *testing.T) map[string][]byte {
+func libraryFiles(t testing.TB) map[string][]byte {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
 	if err != nil || len(paths) < 6 {
@@ -89,4 +90,57 @@ func TestCompileDeterminism(t *testing.T) {
 			t.Fatalf("%s: two compiles of the same file differ", name)
 		}
 	}
+}
+
+// FuzzParseMarshal: every input that parses marshals to a canonical
+// form that parses again, re-marshals to the same bytes, and yields a
+// deeply equal scenario and assertion list. Seeds are the library, the
+// malformed fixtures of `hps chaos validate`, and every document of the
+// parse and semantic error tables.
+func FuzzParseMarshal(f *testing.F) {
+	for _, data := range libraryFiles(f) {
+		f.Add(data)
+	}
+	malformed, err := filepath.Glob(filepath.Join("..", "..", "cmd", "hps", "testdata", "malformed", "*.yaml"))
+	if err != nil || len(malformed) < 3 {
+		f.Fatalf("want at least 3 malformed fixtures, got %v (%v)", malformed, err)
+	}
+	for _, p := range malformed {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, tc := range semanticCases {
+		f.Add([]byte(tc.doc))
+	}
+	f.Add([]byte(happyYAML))
+	f.Add([]byte(failingDoc))
+	// Inputs that once broke the round trip: durations past sim.Time's
+	// range wrapped to negative times that did not parse back.
+	for _, gap := range []string{"1e30s", "9223372037s", "Infms", "NaNs"} {
+		f.Add([]byte(minimalWith("", "  gap: "+gap+"\n")))
+	}
+	f.Add([]byte(minimalWith("", "assertions:\n  - end_at_most: 1e300s\n")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		f1, err := Parse("fuzz", data)
+		if err != nil {
+			return
+		}
+		b1 := f1.Marshal()
+		f2, err := Parse("fuzz#marshal", b1)
+		if err != nil {
+			t.Fatalf("canonical form does not parse: %v\n%s", err, b1)
+		}
+		if b2 := f2.Marshal(); !bytes.Equal(b1, b2) {
+			t.Fatalf("marshal not a fixed point:\n--- first:\n%s--- second:\n%s", b1, b2)
+		}
+		if s1, s2 := f1.Scenario(), f2.Scenario(); !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("scenarios differ:\n%+v\nvs\n%+v\ncanonical form:\n%s", s1, s2, b1)
+		}
+		if !reflect.DeepEqual(f1.Assertions, f2.Assertions) {
+			t.Fatalf("assertions differ: %+v vs %+v", f1.Assertions, f2.Assertions)
+		}
+	})
 }
