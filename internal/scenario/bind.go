@@ -116,13 +116,13 @@ func (f field[T]) bind(b *binder, n *node, t *T) {
 	case *sim.Time:
 		*p = b.durKey(n, f.key)
 	case *float64:
-		if *p = b.floatKey(n, f.key); b.err == nil && f.kind == kProb && !(*p >= 0 && *p <= 1) {
+		if *p = b.floatKey(n, f.key); f.kind == kProb && !(*p >= 0 && *p <= 1) {
 			b.fail(n, f.key, "%s %g outside [0, 1]", f.key, *p)
 		}
 	case *int:
 		if f.kind == kEnum {
 			*p = b.enumKey(n, f.key, f.enum)
-		} else if *p = b.intKey(n, f.key, false, f.def); b.err == nil && (*p < f.lo || *p > f.hi) {
+		} else if *p = b.intKey(n, f.key, false, f.def); *p < f.lo || *p > f.hi {
 			b.fail(n, f.key, "%s %d outside %d..%d", f.key, *p, f.lo, f.hi)
 		}
 	case *bool:
@@ -146,7 +146,6 @@ func (b *binder) enumKey(n *node, key string, names []string) int {
 	i := slices.Index(names, v.scalar)
 	if i < 0 {
 		b.fail(n, key, "%q is not one of %s", v.scalar, strings.Join(names, ", "))
-		return 0
 	}
 	return i
 }
@@ -194,13 +193,13 @@ func writeFields[T any](t *T, fields []field[T], put func(key, val string)) {
 	}
 }
 
-// binder walks the document tree into a File, recording the first
-// semantic problem with its position. All validation that makes a
-// scenario runnable by construction lives here, so File.Scenario is
-// pure and infallible.
+// binder walks the document tree into a File. All validation that
+// makes a scenario runnable by construction lives here, so
+// File.Scenario is pure and infallible. The first semantic problem
+// stops binding: fail panics with the positioned *SemanticError and
+// bind recovers it.
 type binder struct {
 	file string
-	err  *SemanticError
 	// later holds the checks that need the whole file (node names
 	// against the fleet, crash coverage), queued in file order and run
 	// once every section is bound.
@@ -208,80 +207,86 @@ type binder struct {
 }
 
 func (b *binder) fail(n *node, key string, format string, args ...any) {
-	if b.err != nil {
-		return
-	}
 	line, col := n.line, n.col
 	if key != "" {
 		line, col = n.pos(key)
 	}
-	b.err = &SemanticError{File: b.file, Line: line, Col: col,
-		Msg: fmt.Sprintf(format, args...)}
+	panic(&SemanticError{File: b.file, Line: line, Col: col, Msg: fmt.Sprintf(format, args...)})
 }
 
 // bind validates and converts a parsed tree into a File.
-func bind(name string, root *node) (*File, error) {
+func bind(name string, root *node) (f *File, err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *SemanticError:
+			f, err = nil, r
+		default:
+			panic(r)
+		}
+	}()
 	b := &binder{file: name}
-	f := &File{}
+	f = &File{}
 	if !root.isMap() {
 		b.fail(root, "", "scenario root must be a mapping")
-		return nil, b.err
 	}
 	b.allowKeys(root, "version", "name", "description", "seed",
 		"fleet", "workload", "links", "events", "assertions")
-
-	if v := b.intKey(root, "version", true, 0); v != Version && b.err == nil {
+	if v := b.intKey(root, "version", true, 0); v != Version {
 		b.fail(root, "version", "unsupported version %d (this build reads version %d)", v, Version)
 	}
-	f.Name = b.strKey(root, "name", true)
-	if b.err == nil && !validName(f.Name) {
+	if f.Name = b.strKey(root, "name", true); !validName(f.Name) {
 		b.fail(root, "name", "name %q must match [a-z0-9-]+", f.Name)
 	}
 	f.Description = b.strKey(root, "description", false)
 	s := &f.s
 	s.Seed = int64(b.intKey(root, "seed", false, 1))
 
-	if fl := b.mapKey(root, "fleet", true); fl != nil {
-		b.allowKeys(fl, "copies")
-		s.Copies = b.intKey(fl, "copies", true, 0)
-		if b.err == nil && (s.Copies < 1 || s.Copies > 64) {
-			b.fail(fl, "copies", "copies %d outside 1..64", s.Copies)
-		}
+	fl := b.mapKey(root, "fleet")
+	b.allowKeys(fl, "copies")
+	if s.Copies = b.intKey(fl, "copies", true, 0); s.Copies < 1 || s.Copies > 64 {
+		b.fail(fl, "copies", "copies %d outside 1..64", s.Copies)
 	}
-	if w := b.mapKey(root, "workload", true); w != nil {
-		b.allowKeys(w, keys(workloadFields)...)
-		bindFields(b, w, s, workloadFields)
-		if b.err == nil && s.DeadlineBudget > 0 && s.Shed == datacutter.Block {
-			b.fail(w, "deadline_budget",
-				"deadline_budget requires a shedding policy (shed: block would have nowhere to put expired buffers)")
-		}
+	w := b.mapKey(root, "workload")
+	b.allowKeys(w, keys(workloadFields)...)
+	bindFields(b, w, s, workloadFields)
+	if s.DeadlineBudget > 0 && s.Shed == datacutter.Block {
+		b.fail(w, "deadline_budget",
+			"deadline_budget requires a shedding policy (shed: block would have nowhere to put expired buffers)")
 	}
-	b.bindLinks(s, root)
-	b.bindEvents(s, root)
-	b.bindAssertions(f, root)
-	b.crossChecks(s, root)
-	if b.err != nil {
-		return nil, b.err
+
+	for _, item := range b.seqKey(root, "links") {
+		if !item.isMap() {
+			b.fail(item, "", "each link is a mapping")
+		}
+		b.condition(s, item, 0, false)
+	}
+	for _, item := range b.seqKey(root, "events") {
+		b.event(s, item)
+	}
+	for _, item := range b.seqKey(root, "assertions") {
+		f.Assertions = append(f.Assertions, b.assertion(item))
+	}
+	for _, check := range b.later {
+		check()
+	}
+	// Crashes must leave a live consumer copy. Without restarts that is a
+	// count; with them a sweep, the one the chaos harness's validity
+	// rule runs, so bound scenarios are valid by construction.
+	if len(s.Plan.Restarts) == 0 {
+		if len(s.Plan.Crashes) >= s.Copies {
+			b.fail(root, "events", "%d crashes would leave no live consumer of %d copies",
+				len(s.Plan.Crashes), s.Copies)
+		}
+	} else if at, down := chaos.AllDownAt(s.Plan, s.Copies); down {
+		b.fail(root, "events",
+			"at %s every consumer copy of %d is down; stagger the crashes or restart sooner",
+			durString(at), s.Copies)
 	}
 	return f, nil
 }
 
 var validName = regexp.MustCompile(`^[a-z0-9-]+$`).MatchString
-
-// ---- section binders ----
-
-func (b *binder) bindLinks(s *chaos.Scenario, root *node) {
-	for _, item := range b.seqKey(root, "links") {
-		if b.err != nil {
-			return
-		}
-		if !item.isMap() {
-			b.fail(item, "", "each link is a mapping")
-			return
-		}
-		b.condition(s, item, 0, false)
-	}
-}
 
 // condition binds a link (a whole-run condition) or a condition event
 // starting at at into the plan.
@@ -292,24 +297,18 @@ func (b *binder) condition(s *chaos.Scenario, item *node, at sim.Time, event boo
 	}
 	b.allowKeys(item, append(allowed, keys(profileFields)...)...)
 	c := fault.LinkCondition{Src: b.strKey(item, "from", false), Dst: b.strKey(item, "to", false), From: at}
-	if event {
-		c.To = b.durKey(item, "until")
-		if b.err == nil && c.To != 0 && c.To <= at {
-			b.fail(item, "until", "condition until %v must come after at %v", c.To, at)
-		}
+	if c.To = b.durKey(item, "until"); c.To != 0 && c.To <= at {
+		b.fail(item, "until", "condition until %v must come after at %v", c.To, at)
 	}
 	bindFields(b, item, &c.Profile, profileFields)
-	p := c.Profile
-	if b.err == nil && !(p.BandwidthMbps >= 0) {
+	switch p := c.Profile; {
+	case !(p.BandwidthMbps >= 0):
 		b.fail(item, "bandwidth", "bandwidth must be positive Mbps")
-	}
-	if b.err == nil && p.Jitter > 0 && p.Latency == 0 {
+	case p.Jitter > 0 && p.Latency == 0:
 		b.fail(item, "jitter", "jitter needs a latency to jitter around")
-	}
-	if b.err == nil && p.Reject && !p.Lossy() {
+	case p.Reject && !p.Lossy():
 		b.fail(item, "mode", "mode: reject needs loss or loss_every to apply to")
-	}
-	if b.err == nil && p.Zero() {
+	case p.Zero():
 		b.fail(item, "", "%s profile conditions nothing", what)
 	}
 	s.Plan.Conditions = append(s.Plan.Conditions, c)
@@ -317,130 +316,108 @@ func (b *binder) condition(s *chaos.Scenario, item *node, at sim.Time, event boo
 	b.known(s, item, "to", c.Dst, true)
 }
 
-func (b *binder) bindEvents(s *chaos.Scenario, root *node) {
+// event binds one timed event into the plan.
+func (b *binder) event(s *chaos.Scenario, item *node) {
+	if !item.isMap() {
+		b.fail(item, "", "each event is a mapping")
+	}
 	pl := &s.Plan
-	for _, item := range b.seqKey(root, "events") {
-		if b.err != nil {
-			return
+	at := b.durKey(item, "at")
+	switch action := b.strKey(item, "action", true); action {
+	case "partition":
+		b.allowKeys(item, "at", "action", "between", "until")
+		pair := b.seqKey(item, "between")
+		if len(pair) != 2 {
+			b.fail(item, "between", "partition needs between: [a, b]")
 		}
-		if !item.isMap() {
-			b.fail(item, "", "each event is a mapping")
-			return
+		pt := fault.Partition{A: b.scalarOf(pair[0]), B: b.scalarOf(pair[1]), From: at,
+			To: b.durKey(item, "until")}
+		if pt.To <= at {
+			b.fail(item, "until", "partition until %v must come after at %v", pt.To, at)
 		}
-		at := b.durKey(item, "at")
-		action := b.strKey(item, "action", true)
-		if b.err != nil {
-			return
+		pl.Partitions = append(pl.Partitions, pt)
+		b.known(s, item, "between", pt.A, false)
+		b.known(s, item, "between", pt.B, false)
+	case "crash":
+		b.allowKeys(item, "at", "action", "node")
+		node := b.strKey(item, "node", true)
+		pl.Crashes = append(pl.Crashes, fault.NodeCrash{Node: node, At: at})
+		b.known(s, item, "node", node, false)
+		b.later = append(b.later, func() {
+			if node == "src" {
+				b.fail(item, "node", "crashing src kills the producer; crash a consumer instead")
+			}
+		})
+	case "restart":
+		b.allowKeys(item, "at", "action", "node")
+		node := b.strKey(item, "node", true)
+		pl.Restarts = append(pl.Restarts, fault.NodeRestart{Node: node, At: at})
+		b.known(s, item, "node", node, false)
+		b.later = append(b.later, func() {
+			if !slices.ContainsFunc(pl.Crashes, func(cr fault.NodeCrash) bool {
+				return cr.Node == node && cr.At < at
+			}) {
+				b.fail(item, "node", "restart of %q needs a strictly earlier crash of the same node", node)
+			}
+		})
+	case "slowdown":
+		b.allowKeys(item, "at", "action", "node", "factor")
+		sl := fault.NodeSlowdown{Node: b.strKey(item, "node", true), At: at,
+			Factor: b.floatKey(item, "factor")}
+		if !(sl.Factor >= 1) {
+			b.fail(item, "factor", "slowdown factor %g must be >= 1", sl.Factor)
 		}
-		switch action {
-		case "partition":
-			b.allowKeys(item, "at", "action", "between", "until")
-			pair := b.seqKey(item, "between")
-			if b.err == nil && len(pair) != 2 {
-				b.fail(item, "between", "partition needs between: [a, b]")
-			}
-			if b.err != nil {
-				return
-			}
-			pt := fault.Partition{A: b.scalarOf(pair[0]), B: b.scalarOf(pair[1]), From: at,
-				To: b.durKey(item, "until")}
-			if b.err == nil && pt.To <= at {
-				b.fail(item, "until", "partition until %v must come after at %v", pt.To, at)
-			}
-			pl.Partitions = append(pl.Partitions, pt)
-			b.known(s, item, "between", pt.A, false)
-			b.known(s, item, "between", pt.B, false)
-		case "crash", "restart":
-			b.allowKeys(item, "at", "action", "node")
-			node := b.strKey(item, "node", true)
-			b.known(s, item, "node", node, false)
-			if action == "crash" {
-				pl.Crashes = append(pl.Crashes, fault.NodeCrash{Node: node, At: at})
-				b.later = append(b.later, func() {
-					if node == "src" {
-						b.fail(item, "node", "crashing src kills the producer; crash a consumer instead")
-					}
-				})
-				continue
-			}
-			pl.Restarts = append(pl.Restarts, fault.NodeRestart{Node: node, At: at})
-			b.later = append(b.later, func() {
-				if !slices.ContainsFunc(pl.Crashes, func(cr fault.NodeCrash) bool {
-					return cr.Node == node && cr.At < at
-				}) {
-					b.fail(item, "node",
-						"restart of %q needs a strictly earlier crash of the same node", node)
-				}
-			})
-		case "slowdown":
-			b.allowKeys(item, "at", "action", "node", "factor")
-			sl := fault.NodeSlowdown{Node: b.strKey(item, "node", true), At: at,
-				Factor: b.floatKey(item, "factor")}
-			if b.err == nil && !(sl.Factor >= 1) {
-				b.fail(item, "factor", "slowdown factor %g must be >= 1", sl.Factor)
-			}
-			pl.Slowdowns = append(pl.Slowdowns, sl)
-			b.known(s, item, "node", sl.Node, false)
-		case "condition":
-			b.condition(s, item, at, true)
-		default:
-			b.fail(item, "action",
-				"unknown action %q (want partition, crash, restart, slowdown, or condition)", action)
-			return
-		}
+		pl.Slowdowns = append(pl.Slowdowns, sl)
+		b.known(s, item, "node", sl.Node, false)
+	case "condition":
+		b.condition(s, item, at, true)
+	default:
+		b.fail(item, "action",
+			"unknown action %q (want partition, crash, restart, slowdown, or condition)", action)
 	}
 }
 
-func (b *binder) bindAssertions(f *File, root *node) {
-	for _, item := range b.seqKey(root, "assertions") {
-		if b.err != nil {
-			return
-		}
-		if !item.isMap() || len(item.keys) != 1 {
-			b.fail(item, "", "each assertion is a single `check: bound` mapping")
-			return
-		}
-		kind := item.keys[0]
-		val := item.vals[kind]
-		k, ok := assertKindOf(kind)
-		if !ok {
-			b.fail(item, kind, "unknown assertion %q", kind)
-			return
-		}
-		a := Assertion{Kind: kind}
-		switch k.arg {
-		case argName:
-			a.Name = b.scalarOf(val)
-			if b.err == nil && !slices.Contains(invariantNames, a.Name) {
-				b.fail(item, kind, "unknown invariant %q (want accounting, liveness, credits, replay, telemetry, or exactly-once)", a.Name)
-			}
-		case argCount:
-			a.N = b.intOf(val)
-			if b.err == nil && a.N < 0 {
-				b.fail(item, kind, "%s bound must be non-negative", kind)
-			}
-		case argDur:
-			a.D = b.durOf(val)
-			if b.err == nil && a.D <= 0 {
-				b.fail(item, kind, "%s needs a positive duration", kind)
-			}
-		case argTrue:
-			if v := b.scalarOf(val); b.err == nil && v != "true" {
-				b.fail(item, kind, "%s takes the value true", kind)
-			}
-		}
-		f.Assertions = append(f.Assertions, a)
+// assertion binds one `kind: value` assertion.
+func (b *binder) assertion(item *node) Assertion {
+	if !item.isMap() || len(item.keys) != 1 {
+		b.fail(item, "", "each assertion is a single `check: bound` mapping")
 	}
+	kind := item.keys[0]
+	val := item.vals[kind]
+	k, ok := assertKindOf(kind)
+	if !ok {
+		b.fail(item, kind, "unknown assertion %q", kind)
+	}
+	a := Assertion{Kind: kind}
+	switch k.arg {
+	case argName:
+		if a.Name = b.scalarOf(val); !slices.Contains(invariantNames, a.Name) {
+			b.fail(item, kind, "unknown invariant %q (want accounting, liveness, credits, replay, telemetry, or exactly-once)", a.Name)
+		}
+	case argCount:
+		if a.N = b.intOf(val); a.N < 0 {
+			b.fail(item, kind, "%s bound must be non-negative", kind)
+		}
+	case argDur:
+		if a.D = b.durOf(val); a.D <= 0 {
+			b.fail(item, kind, "%s needs a positive duration", kind)
+		}
+	case argTrue:
+		if b.scalarOf(val) != "true" {
+			b.fail(item, kind, "%s takes the value true", kind)
+		}
+	}
+	return a
 }
 
 // known queues the check that name is a fleet node (or, where
 // wildcardOK, empty).
 func (b *binder) known(s *chaos.Scenario, n *node, key, name string, wildcardOK bool) {
 	b.later = append(b.later, func() {
-		if name == "" {
-			if !wildcardOK {
-				b.fail(n, key, "node name required")
-			}
+		if name == "" && !wildcardOK {
+			b.fail(n, key, "node name required")
+		}
+		if name == "" || name == "src" {
 			return
 		}
 		for i := 0; i < s.Copies; i++ {
@@ -448,113 +425,59 @@ func (b *binder) known(s *chaos.Scenario, n *node, key, name string, wildcardOK 
 				return
 			}
 		}
-		if name != "src" {
-			b.fail(n, key, "unknown node %q (fleet has src and cons0..cons%d)", name, s.Copies-1)
-		}
+		b.fail(n, key, "unknown node %q (fleet has src and cons0..cons%d)", name, s.Copies-1)
 	})
-}
-
-// crossChecks runs the queued whole-file checks in file order, then
-// requires that crashes leave a live consumer copy.
-func (b *binder) crossChecks(s *chaos.Scenario, root *node) {
-	if b.err != nil {
-		return
-	}
-	for _, check := range b.later {
-		check()
-	}
-	if b.err != nil {
-		return
-	}
-	if len(s.Plan.Restarts) == 0 {
-		if len(s.Plan.Crashes) >= s.Copies {
-			b.fail(root, "events", "%d crashes would leave no live consumer of %d copies",
-				len(s.Plan.Crashes), s.Copies)
-		}
-		return
-	}
-	// With restarts, survivability is a sweep, not a count: at every
-	// instant at least one consumer copy must be up. The chaos harness's
-	// validity rule runs the same sweep, so bound scenarios are valid by
-	// construction.
-	if at, down := chaos.AllDownAt(s.Plan, s.Copies); down {
-		b.fail(root, "events",
-			"at %s every consumer copy of %d is down; stagger the crashes or restart sooner",
-			durString(at), s.Copies)
-	}
 }
 
 // ---- typed accessors over nodes ----
 
 func (b *binder) allowKeys(n *node, allowed ...string) {
-	if b.err != nil {
-		return
-	}
 	for _, k := range n.keys {
 		if !slices.Contains(allowed, k) {
 			b.fail(n, k, "unknown key %q (allowed: %s)", k, strings.Join(allowed, ", "))
-			return
 		}
 	}
 }
 
-func (b *binder) mapKey(n *node, key string, required bool) *node {
-	if b.err != nil {
-		return nil
-	}
+// mapKey returns the required mapping section key of n.
+func (b *binder) mapKey(n *node, key string) *node {
 	child, ok := n.vals[key]
 	if !ok {
-		if required {
-			b.fail(n, "", "missing required section %q", key)
-		}
-		return nil
+		b.fail(n, "", "missing required section %q", key)
 	}
 	if !child.isMap() {
 		b.fail(n, key, "%q must be a mapping", key)
-		return nil
 	}
 	return child
 }
 
 func (b *binder) seqKey(n *node, key string) []*node {
-	if b.err != nil {
-		return nil
-	}
 	child, ok := n.vals[key]
 	if !ok {
 		return nil
 	}
 	if !child.started || !child.isSeq {
 		b.fail(n, key, "%q must be a sequence", key)
-		return nil
 	}
 	return child.items
 }
 
 func (b *binder) scalarKey(n *node, key string, required bool) (*node, bool) {
-	if b.err != nil {
-		return nil, false
-	}
 	child, ok := n.vals[key]
-	if !ok {
-		if required {
-			b.fail(n, "", "missing required key %q", key)
-		}
-		return nil, false
+	if !ok && required {
+		b.fail(n, "", "missing required key %q", key)
 	}
-	if !child.isScal {
+	if ok && !child.isScal {
 		b.fail(n, key, "%q must be a scalar", key)
-		return nil, false
 	}
-	return child, true
+	return child, ok
 }
 
 func (b *binder) strKey(n *node, key string, required bool) string {
-	child, ok := b.scalarKey(n, key, required)
-	if !ok {
-		return ""
+	if child, ok := b.scalarKey(n, key, required); ok {
+		return child.scalar
 	}
-	return child.scalar
+	return ""
 }
 
 func (b *binder) intKey(n *node, key string, required bool, def int) int {
@@ -565,7 +488,6 @@ func (b *binder) intKey(n *node, key string, required bool, def int) int {
 	v, err := strconv.ParseInt(child.scalar, 10, 64)
 	if err != nil {
 		b.fail(n, key, "%q is not an integer", child.scalar)
-		return def
 	}
 	return int(v)
 }
@@ -578,54 +500,39 @@ func (b *binder) floatKey(n *node, key string) float64 {
 	v, err := strconv.ParseFloat(child.scalar, 64)
 	if err != nil {
 		b.fail(n, key, "%q is not a number", child.scalar)
-		return 0
 	}
 	return v + 0 // -0 reads as 0
 }
 
 func (b *binder) durKey(n *node, key string) sim.Time {
-	child, ok := b.scalarKey(n, key, false)
-	if !ok {
-		return 0
+	if child, ok := b.scalarKey(n, key, false); ok {
+		return b.durOf(child)
 	}
-	return b.durOf(child)
+	return 0
 }
 
 // ---- direct scalar coercions (sequence items, assertion values) ----
 
 func (b *binder) scalarOf(n *node) string {
-	if b.err != nil {
-		return ""
-	}
 	if !n.isScal {
 		b.fail(n, "", "expected a scalar")
-		return ""
 	}
 	return n.scalar
 }
 
 func (b *binder) intOf(n *node) int {
 	s := b.scalarOf(n)
-	if b.err != nil {
-		return 0
-	}
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		b.fail(n, "", "%q is not an integer", s)
-		return 0
 	}
 	return int(v)
 }
 
 func (b *binder) durOf(n *node) sim.Time {
-	s := b.scalarOf(n)
-	if b.err != nil {
-		return 0
-	}
-	d, err := parseDuration(s)
+	d, err := parseDuration(b.scalarOf(n))
 	if err != nil {
 		b.fail(n, "", "%v", err)
-		return 0
 	}
 	return d
 }
