@@ -197,7 +197,7 @@ func writeFields[T any](t *T, fields []field[T], put func(key, val string)) {
 // makes a scenario runnable by construction lives here, so
 // File.Scenario is pure and infallible. The first semantic problem
 // stops binding: fail panics with the positioned *SemanticError and
-// bind recovers it.
+// Parse recovers it.
 type binder struct {
 	file string
 	// later holds the checks that need the whole file (node names
@@ -215,18 +215,9 @@ func (b *binder) fail(n *node, key string, format string, args ...any) {
 }
 
 // bind validates and converts a parsed tree into a File.
-func bind(name string, root *node) (f *File, err error) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *SemanticError:
-			f, err = nil, r
-		default:
-			panic(r)
-		}
-	}()
+func bind(name string, root *node) *File {
 	b := &binder{file: name}
-	f = &File{}
+	f := &File{}
 	if !root.isMap() {
 		b.fail(root, "", "scenario root must be a mapping")
 	}
@@ -283,7 +274,7 @@ func bind(name string, root *node) (f *File, err error) {
 			"at %s every consumer copy of %d is down; stagger the crashes or restart sooner",
 			durString(at), s.Copies)
 	}
-	return f, nil
+	return f
 }
 
 var validName = regexp.MustCompile(`^[a-z0-9-]+$`).MatchString
@@ -456,7 +447,7 @@ func (b *binder) seqKey(n *node, key string) []*node {
 	if !ok {
 		return nil
 	}
-	if !child.started || !child.isSeq {
+	if !child.isSeq {
 		b.fail(n, key, "%q must be a sequence", key)
 	}
 	return child.items

@@ -11,17 +11,16 @@ import (
 type node struct {
 	line, col int
 
-	scalar  string
-	isScal  bool
-	keys    []string
-	vals    map[string]*node
-	keyPos  map[string][2]int
-	items   []*node
-	isSeq   bool
-	started bool // mapping or sequence has been opened
+	scalar string
+	isScal bool
+	keys   []string
+	vals   map[string]*node
+	keyPos map[string][2]int
+	items  []*node
+	isSeq  bool
 }
 
-func (n *node) isMap() bool { return n.started && !n.isSeq && !n.isScal }
+func (n *node) isMap() bool { return !n.isSeq && !n.isScal }
 
 // pos returns the recorded position of key k, falling back to the
 // node's own position.
@@ -35,13 +34,20 @@ func (n *node) pos(k string) (int, int) {
 // Parse reads one scenario file in the strict YAML subset. The
 // returned error is a *ParseError for malformed syntax or a
 // *SemanticError for a well-formed file describing an invalid
-// scenario.
-func Parse(name string, data []byte) (*File, error) {
-	root, err := yamlTree(name, data)
-	if err != nil {
-		return nil, err
-	}
-	return bind(name, root)
+// scenario. Both layers stop at their first problem by panicking with
+// it; Parse recovers it.
+func Parse(name string, data []byte) (f *File, err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *ParseError, *SemanticError:
+			f, err = nil, r.(error)
+		default:
+			panic(r)
+		}
+	}()
+	p := &yparser{file: name}
+	return bind(name, p.tree(data)), nil
 }
 
 // ---- YAML-subset front end ----
@@ -52,61 +58,55 @@ type line struct {
 	text   string // content with indentation stripped
 }
 
-// yamlTree tokenizes and parses the YAML subset into a node tree.
-func yamlTree(name string, data []byte) (*node, error) {
-	lines, err := logicalLines(name, data)
-	if err != nil {
-		return nil, err
+type yparser struct {
+	file  string
+	lines []line
+	pos   int
+}
+
+func (p *yparser) fail(no, col int, format string, args ...any) {
+	panic(&ParseError{File: p.file, Line: no, Col: col, Msg: fmt.Sprintf(format, args...)})
+}
+
+// tree tokenizes and parses the YAML subset into a node tree.
+func (p *yparser) tree(data []byte) *node {
+	p.logicalLines(data)
+	if len(p.lines) == 0 {
+		p.fail(1, 1, "empty scenario file")
 	}
-	if len(lines) == 0 {
-		return nil, &ParseError{File: name, Line: 1, Col: 1, Msg: "empty scenario file"}
-	}
-	p := &yparser{file: name, lines: lines}
-	root, err := p.block(0)
-	if err != nil {
-		return nil, err
-	}
+	root := p.block(0)
 	if p.pos < len(p.lines) {
 		l := p.lines[p.pos]
-		return nil, &ParseError{File: name, Line: l.no, Col: l.indent + 1,
-			Msg: fmt.Sprintf("unexpected indentation %d", l.indent)}
+		p.fail(l.no, l.indent+1, "unexpected indentation %d", l.indent)
 	}
-	return root, nil
+	return root
 }
 
 // logicalLines strips comments and blank lines and measures
 // indentation. Tabs anywhere in indentation are parse errors.
-func logicalLines(name string, data []byte) ([]line, error) {
-	var out []line
+func (p *yparser) logicalLines(data []byte) {
 	for no, raw := range strings.Split(string(data), "\n") {
 		indent := 0
 		for indent < len(raw) && raw[indent] == ' ' {
 			indent++
 		}
 		if indent < len(raw) && raw[indent] == '\t' {
-			return nil, &ParseError{File: name, Line: no + 1, Col: indent + 1,
-				Msg: "tab in indentation (use spaces)"}
+			p.fail(no+1, indent+1, "tab in indentation (use spaces)")
 		}
-		text, err := stripComment(name, no+1, indent, raw[indent:])
-		if err != nil {
-			return nil, err
-		}
-		text = strings.TrimRight(text, " \r")
+		text := strings.TrimRight(p.stripComment(no+1, indent, raw[indent:]), " \r")
 		if text == "" {
 			continue
 		}
 		if indent%2 != 0 {
-			return nil, &ParseError{File: name, Line: no + 1, Col: indent + 1,
-				Msg: fmt.Sprintf("odd indentation %d (indent in steps of two spaces)", indent)}
+			p.fail(no+1, indent+1, "odd indentation %d (indent in steps of two spaces)", indent)
 		}
-		out = append(out, line{no: no + 1, indent: indent, text: text})
+		p.lines = append(p.lines, line{no: no + 1, indent: indent, text: text})
 	}
-	return out, nil
 }
 
 // stripComment removes a trailing `# ...` comment, respecting double
 // quotes.
-func stripComment(name string, no, col int, s string) (string, error) {
+func (p *yparser) stripComment(no, col int, s string) string {
 	inQuote := false
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -118,94 +118,70 @@ func stripComment(name string, no, col int, s string) (string, error) {
 			inQuote = !inQuote
 		case '#':
 			if !inQuote {
-				return s[:i], nil
+				return s[:i]
 			}
 		}
 	}
 	if inQuote {
-		return "", &ParseError{File: name, Line: no, Col: col + len(s),
-			Msg: "unterminated string"}
+		p.fail(no, col+len(s), "unterminated string")
 	}
-	return s, nil
+	return s
 }
 
-type yparser struct {
-	file  string
-	lines []line
-	pos   int
+// isItem reports whether a line opens a sequence item.
+func isItem(text string) bool { return text == "-" || strings.HasPrefix(text, "- ") }
+
+// collection returns an empty mapping or sequence node at line:col.
+func collection(line, col int, isSeq bool) *node {
+	return &node{line: line, col: col, isSeq: isSeq,
+		vals: map[string]*node{}, keyPos: map[string][2]int{}}
 }
 
 // block parses the run of sibling lines at exactly the given indent
 // into one mapping or sequence node.
-func (p *yparser) block(indent int) (*node, error) {
+func (p *yparser) block(indent int) *node {
 	first := p.lines[p.pos]
-	n := &node{line: first.no, col: first.indent + 1, started: true,
-		vals: map[string]*node{}, keyPos: map[string][2]int{}}
-	n.isSeq = strings.HasPrefix(first.text, "-") &&
-		(first.text == "-" || strings.HasPrefix(first.text, "- "))
+	n := collection(first.no, first.indent+1, isItem(first.text))
 	for p.pos < len(p.lines) {
 		l := p.lines[p.pos]
 		if l.indent < indent {
 			break
 		}
 		if l.indent > indent {
-			return nil, &ParseError{File: p.file, Line: l.no, Col: l.indent + 1,
-				Msg: fmt.Sprintf("unexpected indentation %d, want %d", l.indent, indent)}
+			p.fail(l.no, l.indent+1, "unexpected indentation %d, want %d", l.indent, indent)
 		}
-		isItem := strings.HasPrefix(l.text, "-") &&
-			(l.text == "-" || strings.HasPrefix(l.text, "- "))
-		if isItem != n.isSeq {
-			return nil, &ParseError{File: p.file, Line: l.no, Col: l.indent + 1,
-				Msg: "cannot mix sequence items and mapping keys in one block"}
+		if isItem(l.text) != n.isSeq {
+			p.fail(l.no, l.indent+1, "cannot mix sequence items and mapping keys in one block")
 		}
 		if n.isSeq {
-			item, err := p.seqItem(l, indent)
-			if err != nil {
-				return nil, err
-			}
-			n.items = append(n.items, item)
+			n.items = append(n.items, p.seqItem(l, indent))
 		} else {
-			if err := p.mapEntry(n, l, indent); err != nil {
-				return nil, err
-			}
+			p.mapEntry(n, l, indent)
 		}
 	}
-	return n, nil
+	return n
 }
 
 // seqItem parses one `- ...` line (plus any nested block) into a node.
-func (p *yparser) seqItem(l line, indent int) (*node, error) {
-	rest := strings.TrimPrefix(l.text, "-")
-	rest = strings.TrimPrefix(rest, " ")
+func (p *yparser) seqItem(l line, indent int) *node {
+	rest := strings.TrimPrefix(strings.TrimPrefix(l.text, "-"), " ")
 	if rest == "" {
 		// `-` alone: the item is the nested block two spaces deeper.
 		p.pos++
 		if p.pos >= len(p.lines) || p.lines[p.pos].indent != indent+2 {
-			return nil, &ParseError{File: p.file, Line: l.no, Col: l.indent + 1,
-				Msg: "empty sequence item"}
+			p.fail(l.no, l.indent+1, "empty sequence item")
 		}
 		return p.block(indent + 2)
 	}
-	if key, val, ok, err := p.splitKey(l, l.indent+2, rest); err != nil {
-		return nil, err
-	} else if ok {
+	if key, val, ok := p.splitKey(l, l.indent+2, rest); ok {
 		// `- key: ...`: a mapping item whose first entry sits inline;
 		// its remaining keys follow at the dash indent + 2.
-		item := &node{line: l.no, col: l.indent + 3, started: true,
-			vals: map[string]*node{}, keyPos: map[string][2]int{}}
-		if err := p.mapEntryFrom(item, l, indent+2, key, val, l.indent+2); err != nil {
-			return nil, err
+		item := collection(l.no, l.indent+3, false)
+		p.mapEntryFrom(item, l, indent+2, key, val, l.indent+2)
+		for p.pos < len(p.lines) && p.lines[p.pos].indent == indent+2 && !isItem(p.lines[p.pos].text) {
+			p.mapEntry(item, p.lines[p.pos], indent+2)
 		}
-		for p.pos < len(p.lines) && p.lines[p.pos].indent == indent+2 {
-			nl := p.lines[p.pos]
-			if strings.HasPrefix(nl.text, "- ") || nl.text == "-" {
-				break
-			}
-			if err := p.mapEntry(item, nl, indent+2); err != nil {
-				return nil, err
-			}
-		}
-		return item, nil
+		return item
 	}
 	// Plain scalar item.
 	p.pos++
@@ -213,101 +189,82 @@ func (p *yparser) seqItem(l line, indent int) (*node, error) {
 }
 
 // mapEntry parses one `key: ...` line (plus any nested block) into n.
-func (p *yparser) mapEntry(n *node, l line, indent int) error {
-	key, val, ok, err := p.splitKey(l, l.indent, l.text)
-	if err != nil {
-		return err
-	}
+func (p *yparser) mapEntry(n *node, l line, indent int) {
+	key, val, ok := p.splitKey(l, l.indent, l.text)
 	if !ok {
-		return &ParseError{File: p.file, Line: l.no, Col: l.indent + 1,
-			Msg: fmt.Sprintf("expected `key: value`, got %q", l.text)}
+		p.fail(l.no, l.indent+1, "expected `key: value`, got %q", l.text)
 	}
-	return p.mapEntryFrom(n, l, indent, key, val, l.indent)
+	p.mapEntryFrom(n, l, indent, key, val, l.indent)
 }
 
 // mapEntryFrom records one key (already split) and parses its value,
 // which is either inline or the nested block two spaces deeper.
-func (p *yparser) mapEntryFrom(n *node, l line, indent int, key, val string, keyCol int) error {
+func (p *yparser) mapEntryFrom(n *node, l line, indent int, key, val string, keyCol int) {
 	if _, dup := n.vals[key]; dup {
-		return &ParseError{File: p.file, Line: l.no, Col: keyCol + 1,
-			Msg: fmt.Sprintf("duplicate key %q", key)}
+		p.fail(l.no, keyCol+1, "duplicate key %q", key)
 	}
 	p.pos++
 	var child *node
-	if val == "" {
-		if p.pos >= len(p.lines) || p.lines[p.pos].indent <= indent {
-			return &ParseError{File: p.file, Line: l.no, Col: keyCol + 1,
-				Msg: fmt.Sprintf("key %q has no value", key)}
-		}
-		var err error
-		child, err = p.block(indent + 2)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		child, err = p.scalarNode(l.no, keyCol+len(key)+3, val)
-		if err != nil {
-			return err
-		}
+	switch {
+	case val != "":
+		child = p.scalarNode(l.no, keyCol+len(key)+3, val)
+	case p.pos < len(p.lines) && p.lines[p.pos].indent > indent:
+		child = p.block(indent + 2)
+	default:
+		p.fail(l.no, keyCol+1, "key %q has no value", key)
 	}
 	n.keys = append(n.keys, key)
 	n.vals[key] = child
 	n.keyPos[key] = [2]int{l.no, keyCol + 1}
-	return nil
 }
 
 // splitKey splits `key: value` / `key:`; ok is false when the text is
 // not a mapping entry at all.
-func (p *yparser) splitKey(l line, col int, text string) (key, val string, ok bool, err error) {
+func (p *yparser) splitKey(l line, col int, text string) (key, val string, ok bool) {
 	i := strings.Index(text, ":")
 	if i < 0 {
-		return "", "", false, nil
+		return "", "", false
 	}
 	key = text[:i]
 	if key == "" || strings.ContainsAny(key, " \"[]{}") {
-		return "", "", false, nil
+		return "", "", false
 	}
 	rest := text[i+1:]
 	if rest != "" && !strings.HasPrefix(rest, " ") {
-		return "", "", false, &ParseError{File: p.file, Line: l.no, Col: col + i + 2,
-			Msg: fmt.Sprintf("missing space after %q", key+":")}
+		p.fail(l.no, col+i+2, "missing space after %q", key+":")
 	}
-	return key, strings.TrimPrefix(rest, " "), true, nil
+	return key, strings.TrimPrefix(rest, " "), true
 }
 
 // scalarNode parses an inline value: a quoted string, an inline
 // `[a, b]` list of scalars, or a plain token.
-func (p *yparser) scalarNode(no, col int, text string) (*node, error) {
+func (p *yparser) scalarNode(no, col int, text string) *node {
 	switch {
 	case strings.HasPrefix(text, "["):
 		if !strings.HasSuffix(text, "]") {
-			return nil, &ParseError{File: p.file, Line: no, Col: col + len(text),
-				Msg: "unterminated inline list"}
+			p.fail(no, col+len(text), "unterminated inline list")
 		}
-		n := &node{line: no, col: col, started: true, isSeq: true,
-			vals: map[string]*node{}, keyPos: map[string][2]int{}}
+		n := collection(no, col, true)
 		body := strings.TrimSpace(text[1 : len(text)-1])
 		if body == "" {
-			return n, nil
+			return n
 		}
 		for _, part := range strings.Split(body, ",") {
 			part = strings.TrimSpace(part)
 			if part == "" || strings.ContainsAny(part, "[]\"") {
-				return nil, &ParseError{File: p.file, Line: no, Col: col,
-					Msg: "inline lists hold plain scalars separated by commas"}
+				p.fail(no, col, "inline lists hold plain scalars separated by commas")
 			}
 			n.items = append(n.items, &node{line: no, col: col, isScal: true, scalar: part})
 		}
-		return n, nil
+		return n
 	case strings.HasPrefix(text, "\""):
 		s, err := unquote(text)
 		if err != nil {
-			return nil, &ParseError{File: p.file, Line: no, Col: col, Msg: err.Error()}
+			p.fail(no, col, "%v", err)
 		}
-		return &node{line: no, col: col, isScal: true, scalar: s}, nil
+		return &node{line: no, col: col, isScal: true, scalar: s}
 	default:
-		return &node{line: no, col: col, isScal: true, scalar: text}, nil
+		return &node{line: no, col: col, isScal: true, scalar: text}
 	}
 }
 

@@ -38,10 +38,10 @@ func (r Result) Render() string {
 	b.WriteString(r.Report.Canonical())
 	b.WriteByte('\n')
 	for _, a := range r.File.Assertions {
-		if msg := assertFailure(a, r.Report); msg != "" {
-			fmt.Fprintf(&b, "assert %s: FAIL: %s\n", describeAssertion(a), msg)
+		if desc, msg := a.check(r.Report); msg != "" {
+			fmt.Fprintf(&b, "assert %s: FAIL: %s\n", desc, msg)
 		} else {
-			fmt.Fprintf(&b, "assert %s: ok\n", describeAssertion(a))
+			fmt.Fprintf(&b, "assert %s: ok\n", desc)
 		}
 	}
 	return b.String()
@@ -59,8 +59,8 @@ func RunFile(f *File) Result {
 func Evaluate(f *File, rep chaos.Report) []string {
 	var out []string
 	for _, a := range f.Assertions {
-		if msg := assertFailure(a, rep); msg != "" {
-			out = append(out, fmt.Sprintf("%s: %s", describeAssertion(a), msg))
+		if desc, msg := a.check(rep); msg != "" {
+			out = append(out, fmt.Sprintf("%s: %s", desc, msg))
 		}
 	}
 	return out
@@ -172,17 +172,15 @@ func (a Assertion) value() string {
 	return "true"
 }
 
-func describeAssertion(a Assertion) string {
-	if k, _ := assertKindOf(a.Kind); k.arg == argTrue {
-		return a.Kind
-	}
-	return a.Kind + " " + a.value()
-}
-
-// assertFailure returns "" when the assertion holds, else the reason.
-func assertFailure(a Assertion, rep chaos.Report) string {
+// check describes the assertion as Render and Evaluate name it, and
+// returns "" as the failure when it holds against the report, else the
+// reason.
+func (a Assertion) check(r chaos.Report) (desc, failure string) {
 	k, _ := assertKindOf(a.Kind)
-	return k.check(a, rep)
+	if desc = a.Kind; k.arg != argTrue {
+		desc += " " + a.value()
+	}
+	return desc, k.check(a, r)
 }
 
 // ShrinkFile reduces a failing scenario file to a minimal reproducer

@@ -47,13 +47,9 @@ func (e *ParseError) Error() string {
 
 // SemanticError reports a well-formed file describing an invalid
 // scenario: unknown keys, bad enum values, references to nodes outside
-// the fleet, inverted windows, and friends.
-type SemanticError struct {
-	File string
-	Line int
-	Col  int
-	Msg  string
-}
+// the fleet, inverted windows, and friends. It carries the same
+// position fields as ParseError.
+type SemanticError ParseError
 
 func (e *SemanticError) Error() string {
 	return fmt.Sprintf("%s:%d:%d: scenario: %s", e.File, e.Line, e.Col, e.Msg)
