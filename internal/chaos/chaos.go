@@ -109,13 +109,13 @@ func (s Scenario) wireFaulty() bool {
 }
 
 // Normalized exposes the scenario normalization rules to the scenario
-// DSL compiler, which must emit files that are already fixed points of
-// them (otherwise serialized reproducers would drift on reparse).
+// DSL, which must emit files that are already fixed points of them
+// (otherwise serialized reproducers would drift on reparse).
 func (s Scenario) Normalized() Scenario { return s.normalized() }
 
-// Valid exposes the well-formedness check; the DSL compiler asserts it
-// on every compiled scenario as a belt-and-braces guard behind its own
-// position-annotated semantic validation.
+// Valid exposes the well-formedness check; the scenario DSL asserts it
+// on every scenario a file binds to, as a belt-and-braces guard behind
+// its own position-annotated semantic validation.
 func (s Scenario) Valid() bool { return s.valid() }
 
 // normalized enforces the validity rules that make a scenario

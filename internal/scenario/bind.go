@@ -230,7 +230,7 @@ func bind(name string, root *node) *File {
 		b.fail(root, "name", "name %q must match [a-z0-9-]+", f.Name)
 	}
 	f.Description = b.strKey(root, "description", false)
-	s := &f.s
+	s := &f.written
 	s.Seed = int64(b.intKey(root, "seed", false, 1))
 
 	fl := b.mapKey(root, "fleet")

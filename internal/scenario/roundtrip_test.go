@@ -117,8 +117,8 @@ func FuzzParseMarshal(f *testing.F) {
 	}
 	f.Add([]byte(happyYAML))
 	f.Add([]byte(failingDoc))
-	// Inputs that once broke the round trip: durations past sim.Time's
-	// range wrapped to negative times that did not parse back.
+	// Durations past sim.Time's range must be rejected, not wrapped to
+	// negative times that Marshal writes and Parse refuses.
 	for _, gap := range []string{"1e30s", "9223372037s", "Infms", "NaNs"} {
 		f.Add([]byte(minimalWith("", "  gap: "+gap+"\n")))
 	}

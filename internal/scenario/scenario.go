@@ -65,7 +65,7 @@ type File struct {
 	Name        string
 	Description string
 	Assertions  []Assertion
-	s           chaos.Scenario
+	written     chaos.Scenario
 }
 
 // Scenario returns the runnable chaos scenario: the plan in canonical
@@ -74,7 +74,7 @@ type File struct {
 // infallible, and a file reparsed from Marshal yields the same
 // scenario.
 func (f *File) Scenario() chaos.Scenario {
-	s := f.s
+	s := f.written
 	s.Plan = canonical(s.Plan)
 	// The ^0x5eed fold matches chaos.Generate, so a DSL scenario and a
 	// generated scenario with the same seed draw the same fault streams.

@@ -23,7 +23,7 @@ import (
 // reproducers and replay diffs compare scenario files byte-for-byte.
 func (f *File) Marshal() []byte {
 	var b bytes.Buffer
-	s := &f.s
+	s := &f.written
 	fmt.Fprintf(&b, "version: %d\n", Version)
 	fmt.Fprintf(&b, "name: %s\n", f.Name)
 	if f.Description != "" {
@@ -123,11 +123,10 @@ func (it *item) put(key, val string) {
 
 // canonical returns the plan with every entry list copied and sorted
 // into canonical order: by time, then by node names, then by the
-// remaining parameters. Fault outcomes do not depend on slice order
-// (conditions carry identity-keyed random streams; crashes, restarts,
-// partitions and slowdowns are timed), so canonical order makes a
-// scenario independent of the order its file lists links and events
-// in.
+// remaining parameters, so a scenario does not depend on the order its
+// file lists links and events in. Conditions carry identity-keyed
+// random streams, so their order changes no outcome; for the timed
+// entries it fixes which of two at the same instant fires first.
 func canonical(p fault.Plan) fault.Plan {
 	p.Conditions = slices.Clone(p.Conditions)
 	slices.SortStableFunc(p.Conditions, func(a, b fault.LinkCondition) int {
@@ -176,7 +175,7 @@ func FromScenario(s chaos.Scenario, name, description string, assertions []Asser
 			Profile: fault.Profile{LossProb: lf.DropProb, CorruptProb: lf.CorruptProb}})
 	}
 	s.Plan.Conditions, s.Plan.Links, s.Plan.Pressure = conds, nil, nil
-	return &File{Name: name, Description: description, Assertions: assertions, s: s}
+	return &File{Name: name, Description: description, Assertions: assertions, written: s}
 }
 
 // durString renders a duration in the largest unit that divides it
