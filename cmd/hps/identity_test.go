@@ -19,8 +19,8 @@ const manifestPath = "testdata/identity.txt"
 // TestIdentity runs a fixed set of subcommand invocations in-process
 // and compares every artifact they produce — each stdout and each file
 // a command writes — with the hash and size recorded in the manifest.
-// The rows cover every figure family at -quick scale except 7b, 8 and
-// 9 (which would roughly triple the run time), the fig 7a telemetry
+// The rows cover every figure family at -quick scale except 8 and 9
+// (which would more than double the run time), the fig 7a telemetry
 // and profile exports (whose stdout must equal the uninstrumented
 // figure), the chaos seed sweep in full, the scenario library
 // (validate, and run with telemetry), and both transports' Chrome
@@ -51,7 +51,7 @@ func TestIdentity(t *testing.T) {
 		args []string
 	}
 	var rows []row
-	for _, fig := range []string{"2", "4a", "4b", "micro", "pp", "10", "11", "fault", "overload", "recovery"} {
+	for _, fig := range []string{"2", "4a", "4b", "7b", "micro", "pp", "10", "11", "fault", "overload", "recovery"} {
 		rows = append(rows, row{"figures-" + fig, figuresCmd, []string{"-quick", "-fig", fig}})
 	}
 	rows = append(rows,

@@ -30,7 +30,8 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Profile bundles every calibrated cost model of the testbed.
+// Profile bundles the per-layer configuration of the testbed: the
+// parameters callers vary. Each layer's cost model is constants.
 type Profile struct {
 	Wire netsim.Config
 	TCP  ktcp.Config

@@ -34,28 +34,24 @@ const (
 // the pump does not recycle them into the eager pool.
 type rendDescTag struct{}
 
-// rendMax is the largest single rendezvous piece: one VIA transfer.
-func (c *svConn) rendMax() int { return c.ep.pr.Config().MaxTransfer }
-
 // rendHighWater is the buffered-byte level above which the receiver
 // defers grants.
 func (c *svConn) rendHighWater() int { return c.ep.cfg.Credits * c.ep.cfg.ChunkSize }
 
 // sendRendezvous pushes one payload via RDMA-write pieces.
 func (c *svConn) sendRendezvous(p *sim.Proc, data []byte, n int) error {
-	cfg := c.ep.cfg
 	node := c.node()
 	offset := 0
 	for offset < n {
 		m := n - offset
-		if m > c.rendMax() {
-			m = c.rendMax()
+		if m > via.MaxTransfer {
+			m = via.MaxTransfer
 		}
 		val := m
 		if data != nil {
 			val |= rendRealBit
 		}
-		node.Overhead(p, cfg.ProcCost)
+		node.Overhead(p, svProcCost)
 		node.Kernel().Trace("socketvia", "rend-req", int64(m), "")
 		hpsmon.Count(node.Kernel(), "socketvia", "rend.pieces", 1)
 		piece := hpsmon.Begin(p, "socketvia", "rendezvous", "")
@@ -102,7 +98,7 @@ func (c *svConn) sendRendezvous(p *sim.Proc, data []byte, n int) error {
 // handleRendReq runs in the pump when the peer announces a transfer.
 func (c *svConn) handleRendReq(p *sim.Proc, val int) {
 	if c.rendRegion == nil {
-		c.rendRegion, c.rendLocalHandle = c.ep.pr.RegisterMemRDMA(p, c.rendMax())
+		c.rendRegion, c.rendLocalHandle = c.ep.pr.RegisterMemRDMA(p, via.MaxTransfer)
 	}
 	c.rendMeta = append(c.rendMeta, val)
 	if c.rcvAvail <= c.rendHighWater() {

@@ -58,7 +58,7 @@ type svEndpoint struct {
 // fresh VIA provider on the node.
 func NewSocketVIAEndpoint(node *cluster.Node, net *netsim.Network, viaCfg via.Config, cfg SVConfig) Endpoint {
 	cfg.validate()
-	if cfg.ChunkSize > viaCfg.MaxTransfer {
+	if cfg.ChunkSize > via.MaxTransfer {
 		panic("core: chunk size exceeds VIA max transfer")
 	}
 	return &svEndpoint{pr: via.NewProvider(node, net, viaCfg), cfg: cfg}

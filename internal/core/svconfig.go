@@ -2,9 +2,10 @@ package core
 
 import "hpsockets/internal/sim"
 
-// SVConfig carries the SocketVIA protocol parameters and user-level
-// costs. The defaults reproduce the substrate of the paper; the
-// ablation benches sweep ChunkSize and Credits.
+// SVConfig carries the SocketVIA protocol parameters that callers
+// vary; the user-level costs are the constants below. The defaults
+// reproduce the substrate of the paper; the ablation benches sweep
+// ChunkSize, Credits and RendezvousThreshold.
 type SVConfig struct {
 	// ChunkSize is the eager buffer size: sends larger than one chunk
 	// are pipelined through the pool chunk by chunk.
@@ -16,14 +17,6 @@ type SVConfig struct {
 	// CreditBatch is how many consumed descriptors accumulate before a
 	// credit-update message returns them to the sender.
 	CreditBatch int
-	// CopyPerByte is the memcpy cost (ns/byte) between user buffers
-	// and the registered pools, charged on the CPU of the copying side.
-	CopyPerByte float64
-	// ProcCost is the per-call bookkeeping cost of the sockets layer.
-	ProcCost sim.Time
-	// ReaderWakeup is charged when a blocked Recv or credit-starved
-	// Send is woken by the progress process.
-	ReaderWakeup sim.Time
 	// RendezvousThreshold switches sends at or above this size to the
 	// zero-copy RDMA rendezvous path (0 disables it). This implements
 	// the paper's future-work push model; see rendezvous.go.
@@ -34,18 +27,23 @@ type SVConfig struct {
 	DialTimeout sim.Time
 }
 
-// DefaultSVConfig returns the calibrated SocketVIA layer: ~9.5 us
-// small-message latency and ~763 Mbps peak bandwidth over the CLAN
-// VIA profile, matching the paper's micro-benchmarks.
+// The user-level costs of the SocketVIA layer, calibrated to ~9.5 us
+// small-message latency and ~763 Mbps peak bandwidth over the CLAN VIA
+// profile, matching the paper's micro-benchmarks.
+const (
+	// svCopyPerByte is the memcpy cost (ns/byte) between user buffers
+	// and the registered pools, charged on the CPU of the copying side.
+	svCopyPerByte float64 = 2.0
+	// svProcCost is the per-call bookkeeping cost of the sockets layer.
+	svProcCost sim.Time = 250 * sim.Nanosecond
+	// svReaderWakeup is charged when a blocked Recv or credit-starved
+	// Send is woken by the progress process.
+	svReaderWakeup sim.Time = 800 * sim.Nanosecond
+)
+
+// DefaultSVConfig returns the calibrated SocketVIA layer.
 func DefaultSVConfig() SVConfig {
-	return SVConfig{
-		ChunkSize:    8 * 1024,
-		Credits:      16,
-		CreditBatch:  4,
-		CopyPerByte:  2.0,
-		ProcCost:     250 * sim.Nanosecond,
-		ReaderWakeup: 800 * sim.Nanosecond,
-	}
+	return SVConfig{ChunkSize: 8 * 1024, Credits: 16, CreditBatch: 4}
 }
 
 // ctrlSlack is the number of extra receive descriptors posted beyond

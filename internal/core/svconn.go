@@ -139,13 +139,13 @@ func (c *svConn) send(p *sim.Proc, data []byte, n int) error {
 			return c.brokenErr
 		}
 		if blocked {
-			node.Overhead(p, cfg.ReaderWakeup)
+			node.Overhead(p, svReaderWakeup)
 		}
 		c.credits--
 		node.Kernel().Trace("socketvia", "eager-chunk", int64(m), "")
 		hpsmon.Count(node.Kernel(), "socketvia", "chunks.out", 1)
 		hpsmon.Count(node.Kernel(), "socketvia", "chunk.bytes.out", int64(m))
-		node.Overhead(p, cfg.ProcCost+sim.Time(float64(m)*cfg.CopyPerByte+0.5))
+		node.Overhead(p, svProcCost+sim.Time(float64(m)*svCopyPerByte+0.5))
 		d.Len = m
 		d.Imm = svImm(svData, m)
 		if data != nil {
@@ -180,9 +180,8 @@ func (c *svConn) Recv(p *sim.Proc, buf []byte) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	cfg := c.ep.cfg
 	node := c.node()
-	node.Overhead(p, cfg.ProcCost)
+	node.Overhead(p, svProcCost)
 	blocked := false
 	for c.rcvAvail == 0 {
 		if c.finRcvd {
@@ -208,13 +207,13 @@ func (c *svConn) Recv(p *sim.Proc, buf []byte) (int, error) {
 		}
 	}
 	if blocked {
-		node.Overhead(p, cfg.ReaderWakeup)
+		node.Overhead(p, svReaderWakeup)
 	}
 	n := len(buf)
 	if n > c.rcvAvail {
 		n = c.rcvAvail
 	}
-	node.Overhead(p, sim.Time(float64(n)*cfg.CopyPerByte+0.5))
+	node.Overhead(p, sim.Time(float64(n)*svCopyPerByte+0.5))
 	remaining := n
 	off := 0
 	for remaining > 0 {

@@ -21,58 +21,24 @@ package ktcp
 
 import "hpsockets/internal/sim"
 
-// Config is the cost model and protocol parameters of the kernel path.
+// Config holds the protocol parameters of the kernel path that callers
+// vary; the cost model is the constants below.
 type Config struct {
 	// MSS is the maximum segment payload (1460 for the 1500-byte LANE
-	// MTU); HeaderSize covers Ethernet+IP+TCP framing on the wire.
-	MSS        int
-	HeaderSize int
+	// MTU).
+	MSS int
 
-	// SndBuf and RcvBuf are the socket buffer sizes. Send returns once
+	// sndBuf and rcvBuf are the socket buffer sizes. Send returns once
 	// the data is buffered; it blocks while the send buffer is full.
-	SndBuf int
-	RcvBuf int
+	// Only this package's tests vary them.
+	sndBuf int
+	rcvBuf int
 
-	// SendSyscall and RecvSyscall are per-call kernel transition
-	// costs; CopyPerByteSend/Recv are the user<->kernel copy costs.
-	SendSyscall     sim.Time
-	RecvSyscall     sim.Time
-	CopyPerByteSend float64
-	CopyPerByteRecv float64
-
-	// TxPerSegment is protocol processing per outgoing segment
-	// (charged under the stack lock); RxPerSegment per incoming
-	// segment (charged in softnet).
-	TxPerSegment sim.Time
-	RxPerSegment sim.Time
-
-	// AckEvery generates one ack per N data segments (delayed ack);
-	// AckTimeout flushes a pending ack when the stream goes quiet.
-	// AckGen is the receiver-side cost of generating an ack;
-	// AckProcessing the sender-side cost of absorbing one. AckSize is
-	// its wire size.
-	AckEvery      int
-	AckTimeout    sim.Time
-	AckGen        sim.Time
-	AckProcessing sim.Time
-	AckSize       int
-
-	// WakeupCost is charged when a process blocked in recv (or a
-	// full-buffer send) is woken by the stack.
-	WakeupCost sim.Time
-
-	// DMAPerByte and DMAPerOp model the adapter DMA for the LANE path.
-	DMAPerByte float64
-	DMAPerOp   sim.Time
-
-	// ConnSetupCPU is charged on each side during connection setup.
-	ConnSetupCPU sim.Time
-
-	// Nagle enables sender-side coalescing of sub-MSS segments while
+	// nagle enables sender-side coalescing of sub-MSS segments while
 	// unacknowledged data is outstanding. DataCutter-style runtimes
-	// set TCP_NODELAY, so the default profile disables it; it exists
-	// for the ablation benches.
-	Nagle bool
+	// set TCP_NODELAY, so the default profile disables it; only this
+	// package's tests turn it on.
+	nagle bool
 
 	// RTO is the retransmission timeout. Zero (the default profile)
 	// disables retransmission entirely, preserving the flawless-fabric
@@ -86,30 +52,53 @@ type Config struct {
 	MaxRetries int
 }
 
-// LinuxCLANConfig returns the kernel path calibrated against the
-// paper's Figure 4: ~47 us one-way small-message latency (about five
-// times SocketVIA's 9.5 us) and ~510 Mbps peak bandwidth.
+// The cost model of the kernel path, calibrated against the paper's
+// Figure 4: ~47 us one-way small-message latency (about five times
+// SocketVIA's 9.5 us) and ~510 Mbps peak bandwidth.
+const (
+	// headerSize covers Ethernet+IP+TCP framing on the wire.
+	headerSize = 58
+
+	// sendSyscall and recvSyscall are per-call kernel transition
+	// costs; copyPerByteSend/Recv are the user<->kernel copy costs
+	// (ns/byte).
+	sendSyscall     sim.Time = 11 * sim.Microsecond
+	recvSyscall     sim.Time = 7 * sim.Microsecond
+	copyPerByteSend float64  = 4.0
+	copyPerByteRecv float64  = 4.5
+
+	// txPerSegment is protocol processing per outgoing segment
+	// (charged under the stack lock); rxPerSegment per incoming
+	// segment (charged in softnet).
+	txPerSegment sim.Time = 6 * sim.Microsecond
+	rxPerSegment sim.Time = 15 * sim.Microsecond
+
+	// ackEvery generates one ack per N data segments (delayed ack);
+	// ackTimeout flushes a pending ack when the stream goes quiet.
+	// ackGen is the receiver-side cost of generating an ack;
+	// ackProcessing the sender-side cost of absorbing one. ackSize is
+	// its wire size.
+	ackEvery               = 2
+	ackTimeout    sim.Time = 500 * sim.Microsecond
+	ackGen        sim.Time = 3 * sim.Microsecond
+	ackProcessing sim.Time = 5 * sim.Microsecond
+	ackSize                = 58
+
+	// wakeupCost is charged when a process blocked in recv (or a
+	// full-buffer send) is woken by the stack.
+	wakeupCost sim.Time = 14 * sim.Microsecond
+
+	// dmaPerByte (ns/byte) and dmaPerOp model the adapter DMA for the
+	// LANE path.
+	dmaPerByte float64  = 9.9
+	dmaPerOp   sim.Time = 400 * sim.Nanosecond
+
+	// connSetupCPU is charged on each side during connection setup.
+	connSetupCPU sim.Time = 30 * sim.Microsecond
+)
+
+// LinuxCLANConfig returns the kernel path of the paper's testbed, with
+// retransmission off.
 func LinuxCLANConfig() Config {
-	return Config{
-		MSS:             1460,
-		HeaderSize:      58,
-		SndBuf:          64 * 1024,
-		RcvBuf:          64 * 1024,
-		SendSyscall:     11 * sim.Microsecond,
-		RecvSyscall:     7 * sim.Microsecond,
-		CopyPerByteSend: 4.0,
-		CopyPerByteRecv: 4.5,
-		TxPerSegment:    6 * sim.Microsecond,
-		RxPerSegment:    15 * sim.Microsecond,
-		AckEvery:        2,
-		AckTimeout:      500 * sim.Microsecond,
-		AckGen:          3 * sim.Microsecond,
-		AckProcessing:   5 * sim.Microsecond,
-		AckSize:         58,
-		WakeupCost:      14 * sim.Microsecond,
-		DMAPerByte:      9.9,
-		DMAPerOp:        400 * sim.Nanosecond,
-		ConnSetupCPU:    30 * sim.Microsecond,
-		Nagle:           false,
-	}
+	return Config{MSS: 1460, sndBuf: 64 * 1024, rcvBuf: 64 * 1024}
 }

@@ -102,7 +102,7 @@ func (c *Conn) Established() bool { return c.established }
 
 // rwndAvail is the window the receive buffer can still absorb.
 func (c *Conn) rwndAvail() int {
-	avail := c.st.cfg.RcvBuf - c.rcvBuf.Len()
+	avail := c.st.cfg.rcvBuf - c.rcvBuf.Len()
 	if avail < 0 {
 		avail = 0
 	}
@@ -209,7 +209,7 @@ func (c *Conn) onRTO() {
 	hpsmon.InstantK(st.node.Kernel(), "ktcp", "rto-fire", c.peerPort)
 	for _, seg := range c.retransQ {
 		f := st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
-			st.cfg.HeaderSize+seg.length, seg)
+			headerSize+seg.length, seg)
 		if !st.nicQ.TryPut(f) {
 			st.net.FreeFrame(f)
 			break
@@ -245,8 +245,7 @@ func (c *Conn) send(p *sim.Proc, ch bytebuf.Chunk) error {
 	if !c.established {
 		p.Wait(c.connSig)
 	}
-	cfg := c.st.cfg
-	c.st.node.Overhead(p, cfg.SendSyscall)
+	c.st.node.Overhead(p, sendSyscall)
 	offset := 0
 	for offset < ch.Size {
 		if c.closing {
@@ -255,7 +254,7 @@ func (c *Conn) send(p *sim.Proc, ch bytebuf.Chunk) error {
 		if c.failErr != nil {
 			return c.failErr
 		}
-		space := cfg.SndBuf - c.sndBuf.Len() - c.inflight()
+		space := c.st.cfg.sndBuf - c.sndBuf.Len() - c.inflight()
 		if space <= 0 {
 			k := c.st.node.Kernel()
 			t0 := k.Now()
@@ -278,7 +277,7 @@ func (c *Conn) send(p *sim.Proc, ch bytebuf.Chunk) error {
 			n = space
 		}
 		// The user->kernel copy of this portion.
-		c.st.node.Overhead(p, sim.Time(float64(n)*cfg.CopyPerByteSend+0.5))
+		c.st.node.Overhead(p, sim.Time(float64(n)*copyPerByteSend+0.5))
 		part := bytebuf.Chunk{Size: n}
 		if ch.Data != nil {
 			part.Data = ch.Data[offset : offset+n]
@@ -296,8 +295,7 @@ func (c *Conn) Recv(p *sim.Proc, buf []byte) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	cfg := c.st.cfg
-	c.st.node.Overhead(p, cfg.RecvSyscall)
+	c.st.node.Overhead(p, recvSyscall)
 	blocked := false
 	for c.rcvBuf.Len() == 0 {
 		if c.rcvEOF {
@@ -323,14 +321,14 @@ func (c *Conn) Recv(p *sim.Proc, buf []byte) (int, error) {
 		}
 	}
 	if blocked {
-		c.st.node.Overhead(p, cfg.WakeupCost)
+		c.st.node.Overhead(p, wakeupCost)
 	}
 	n := c.rcvBuf.CopyOut(buf)
 	c.read += int64(n)
 	// Window update: if the last advertised limit has fallen half a
 	// buffer behind what we could now advertise, push a fresh ack so a
 	// window-blocked sender resumes.
-	if c.read+int64(cfg.RcvBuf)-c.lastAdvLimit >= int64(cfg.RcvBuf)/2 {
+	if rcvBuf := int64(c.st.cfg.rcvBuf); c.read+rcvBuf-c.lastAdvLimit >= rcvBuf/2 {
 		_ = c.st.softQ.TryPut(softItem{flushConn: c, flushForce: true})
 	}
 	return n, nil

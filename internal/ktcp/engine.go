@@ -130,18 +130,18 @@ func (e *softnet) take(item softItem) {
 		if c := st.conns[seg.dstConn]; c != nil && !c.established {
 			c.peerConn = seg.srcConn
 			c.established = true
-			c.sndLimit = int64(cfg.RcvBuf) // peer buffer, symmetric config
+			c.sndLimit = int64(cfg.rcvBuf) // peer buffer, symmetric config
 			c.connSig.Fire(nil)
 		}
 	case segData, segAck:
 		if e.c = st.conns[seg.dstConn]; e.c == nil {
 			break
 		}
-		cost := cfg.AckProcessing
+		cost := ackProcessing
 		if seg.kind == segData {
 			st.node.Kernel().Trace("ktcp", "segment-in", int64(seg.length), seg.srcPort)
 			hpsmon.Count(st.node.Kernel(), "ktcp", "segments.in", 1)
-			cost = cfg.RxPerSegment + sim.Time(float64(seg.length)*cfg.CopyPerByteRecv+0.5)
+			cost = rxPerSegment + sim.Time(float64(seg.length)*copyPerByteRecv+0.5)
 		}
 		e.stage = softRx
 		st.node.OverheadFunc(e.ident, cost, e.step)
@@ -173,7 +173,7 @@ func (st *Stack) armAckTimer(c *Conn) {
 	if c.ackTimer.Pending() {
 		return
 	}
-	c.ackTimer = st.node.Kernel().After(st.cfg.AckTimeout, c.onAckTimer)
+	c.ackTimer = st.node.Kernel().After(ackTimeout, c.onAckTimer)
 }
 
 // emitAck starts generating a cumulative ack for the connection.
@@ -181,7 +181,7 @@ func (e *softnet) emitAck() {
 	e.c.ackPending = 0
 	e.c.ackTimer.Stop()
 	e.stage = softAck
-	e.st.node.OverheadFunc(e.ident, e.st.cfg.AckGen, e.step)
+	e.st.node.OverheadFunc(e.ident, ackGen, e.step)
 }
 
 func (e *softnet) run() {
@@ -205,7 +205,7 @@ func (e *softnet) run() {
 			c.rcvBuf.AppendChunks(seg.data)
 			c.rcvd += int64(seg.length)
 			c.rcvCond.Broadcast()
-			if c.ackPending++; c.ackPending >= st.cfg.AckEvery {
+			if c.ackPending++; c.ackPending >= ackEvery {
 				e.emitAck()
 			} else {
 				st.armAckTimer(c)
@@ -273,19 +273,19 @@ func (e *txEngine) pump() {
 	avail := c.sndBuf.Len()
 	if c.closing && avail == 0 {
 		e.stage = txFIN
-		st.stackLock.UseFunc(cfg.TxPerSegment, 0, e.step)
+		st.stackLock.UseFunc(txPerSegment, 0, e.step)
 		return
 	}
 	if wnd := int(c.sndLimit - c.sent); avail > 0 && wnd > 0 {
 		n := min(cfg.MSS, avail, wnd)
 		// Nagle: hold back a sub-MSS segment while earlier data is
 		// unacknowledged and more may be coming.
-		if !(cfg.Nagle && n < cfg.MSS && c.inflight() > 0 && !c.closing) {
+		if !(cfg.nagle && n < cfg.MSS && c.inflight() > 0 && !c.closing) {
 			e.seg, e.n = st.allocSeg(cfg.RTO <= 0), n
 			e.seg.data = c.sndBuf.TakeInto(e.seg.data[:0], n)
 			c.sndCond.Broadcast() // send-buffer space freed
 			e.stage = txData
-			st.stackLock.UseFunc(cfg.TxPerSegment, 0, e.step)
+			st.stackLock.UseFunc(txPerSegment, 0, e.step)
 			return
 		}
 	}
@@ -319,7 +319,7 @@ func (e *txEngine) run() {
 		hpsmon.Count(st.node.Kernel(), "ktcp", "segments.out", 1)
 		hpsmon.Count(st.node.Kernel(), "ktcp", "bytes.out", int64(n))
 		st.nicQ.PutFunc(st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
-			cfg.HeaderSize+n, seg), e.put)
+			headerSize+n, seg), e.put)
 	case txFIN:
 		seg := st.allocSeg(cfg.RTO <= 0)
 		seg.kind, seg.srcPort, seg.srcConn, seg.dstConn = segFIN, st.node.Name(), c.id, c.peerConn

@@ -104,7 +104,7 @@ func engineOrderRun(t *testing.T, seed int64, nagle, rto bool) engineOrderResult
 	net := netsim.New(k, netsim.CLANConfig())
 	cl := cluster.New(k, net)
 	cfg := LinuxCLANConfig()
-	cfg.Nagle = nagle
+	cfg.nagle = nagle
 	if rto {
 		cfg.RTO = 2 * sim.Millisecond
 		cfg.MaxRetries = 5
@@ -232,7 +232,7 @@ func engineOrderRun(t *testing.T, seed int64, nagle, rto bool) engineOrderResult
 		func(p *sim.Proc, c *Conn) {
 			for i := 0; i < 5; i++ {
 				logf("lone send: %v", c.Send(p, payload(1+rng.Intn(1000))))
-				p.Sleep(cfg.AckTimeout*2 + sim.Time(rng.Intn(300_000)))
+				p.Sleep(ackTimeout*2 + sim.Time(rng.Intn(300_000)))
 			}
 			shut(p, "lone-a", c)
 		},

@@ -218,7 +218,7 @@ func TestWindowStallRecovers(t *testing.T) {
 	// sleeps; the reader's window update must un-stall it.
 	cfg := LinuxCLANConfig()
 	r := newRig(2, cfg)
-	total := cfg.RcvBuf * 4
+	total := cfg.rcvBuf * 4
 	var received int
 	r.pair(t,
 		func(p *sim.Proc, c *Conn) {
@@ -416,7 +416,7 @@ func TestCalibrationTCPBandwidth(t *testing.T) {
 
 func TestNagleDelaysSubMSSSegments(t *testing.T) {
 	on := LinuxCLANConfig()
-	on.Nagle = true
+	on.nagle = true
 	off := LinuxCLANConfig()
 	// With Nagle, a burst of tiny writes coalesces into fewer
 	// segments than without.
@@ -452,7 +452,7 @@ func TestNagleDelaysSubMSSSegments(t *testing.T) {
 }
 
 func TestDelayedAckTimerFlushes(t *testing.T) {
-	// One lone segment (AckEvery=2) must still get acked via the
+	// One lone segment (ackEvery=2) must still get acked via the
 	// delayed-ack timer so the sender's window state converges.
 	cfg := LinuxCLANConfig()
 	r := newRig(2, cfg)
@@ -467,7 +467,7 @@ func TestDelayedAckTimerFlushes(t *testing.T) {
 		c, _ := r.stacks[0].Connect(p, "b", 1)
 		p.Sleep(sim.Millisecond)
 		c.Send(p, []byte("x"))
-		p.Sleep(5 * cfg.AckTimeout)
+		p.Sleep(5 * ackTimeout)
 		acked = c.acked >= 1
 	})
 	r.k.RunAll()
@@ -571,7 +571,7 @@ func TestSegmentPoolsBoundedByWindow(t *testing.T) {
 		},
 	)
 	segments := int(r.stacks[0].SegmentsOut())
-	window := (cfg.SndBuf + cfg.RcvBuf) / cfg.MSS
+	window := (cfg.sndBuf + cfg.rcvBuf) / cfg.MSS
 	for i, st := range r.stacks {
 		if n := len(st.segPool); n == 0 || n > window {
 			t.Errorf("stack %d pools %d segments after a %d-segment stream, want 1..%d (one window)",

@@ -96,8 +96,8 @@ func TestPropertyStreamIntegrityRandomSizes(t *testing.T) {
 
 func TestSmallWindowStillDelivers(t *testing.T) {
 	cfg := LinuxCLANConfig()
-	cfg.SndBuf = 4 * cfg.MSS
-	cfg.RcvBuf = 4 * cfg.MSS
+	cfg.sndBuf = 4 * cfg.MSS
+	cfg.rcvBuf = 4 * cfg.MSS
 	r := newRig(2, cfg)
 	l := r.stacks[1].Listen(1)
 	const total = 500_000
@@ -163,7 +163,7 @@ func TestBidirectionalSimultaneousBulk(t *testing.T) {
 
 func TestWindowNeverOverrunsReceiveBuffer(t *testing.T) {
 	// Instrumented invariant: buffered bytes at the receiver never
-	// exceed RcvBuf even when the reader stalls arbitrarily.
+	// exceed rcvBuf even when the reader stalls arbitrarily.
 	cfg := LinuxCLANConfig()
 	r := newRig(2, cfg)
 	l := r.stacks[1].Listen(1)
@@ -189,8 +189,8 @@ func TestWindowNeverOverrunsReceiveBuffer(t *testing.T) {
 		c.Close(p)
 	})
 	r.k.RunAll()
-	if maxBuffered > cfg.RcvBuf {
-		t.Fatalf("receive buffer grew to %d, advertised window was %d", maxBuffered, cfg.RcvBuf)
+	if maxBuffered > cfg.rcvBuf {
+		t.Fatalf("receive buffer grew to %d, advertised window was %d", maxBuffered, cfg.rcvBuf)
 	}
 	if maxBuffered == 0 {
 		t.Fatal("no buffering observed; probe broken")

@@ -148,7 +148,7 @@ func freeSeg(s *segment) {
 // NewStack attaches a kernel TCP stack to the node and starts softnet
 // and the adapter's egress stages. None of them is a process.
 func NewStack(node *cluster.Node, net *netsim.Network, cfg Config) *Stack {
-	if cfg.MSS <= 0 || cfg.SndBuf < cfg.MSS || cfg.RcvBuf < cfg.MSS {
+	if cfg.MSS <= 0 || cfg.sndBuf < cfg.MSS || cfg.rcvBuf < cfg.MSS {
 		panic("ktcp: invalid config")
 	}
 	k := node.Kernel()
@@ -193,9 +193,6 @@ func NewStack(node *cluster.Node, net *netsim.Network, cfg Config) *Stack {
 // Node reports the stack's host.
 func (st *Stack) Node() *cluster.Node { return st.node }
 
-// Config reports the stack configuration.
-func (st *Stack) Config() Config { return st.cfg }
-
 // SegmentsIn and SegmentsOut report wire segment counters.
 func (st *Stack) SegmentsIn() uint64 { return st.segsIn }
 
@@ -226,12 +223,12 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 		return nil, errors.New("ktcp: listener closed")
 	}
 	st := l.st
-	st.node.Overhead(p, st.cfg.ConnSetupCPU)
+	st.node.Overhead(p, connSetupCPU)
 	c := st.newConn()
 	c.peerPort = syn.srcPort
 	c.peerConn = syn.srcConn
 	c.established = true
-	c.sndLimit = int64(st.cfg.RcvBuf) // peer buffer, symmetric config
+	c.sndLimit = int64(st.cfg.rcvBuf) // peer buffer, symmetric config
 	st.synConns[synKey{syn.srcPort, syn.srcConn}] = c
 	c.connSig.Fire(nil)
 	synack := st.allocSeg(true)
@@ -246,7 +243,7 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 // SYNACK is retransmitted with capped exponential backoff until
 // MaxRetries is exhausted, then Connect fails with ErrTimeout.
 func (st *Stack) Connect(p *sim.Proc, remote string, svc int) (*Conn, error) {
-	st.node.Overhead(p, st.cfg.ConnSetupCPU)
+	st.node.Overhead(p, connSetupCPU)
 	c := st.newConn()
 	c.peerPort = remote
 	syn := &segment{
@@ -302,7 +299,7 @@ func (st *Stack) newConn() *Conn {
 // controlFrame wraps a segment with no payload (SYN, SYNACK, FIN) for
 // the NIC queue.
 func (st *Stack) controlFrame(dst string, seg *segment) *netsim.Frame {
-	return st.net.NewFrame(st.node.Name(), dst, netsim.ProtoIP, st.cfg.HeaderSize, seg)
+	return st.net.NewFrame(st.node.Name(), dst, netsim.ProtoIP, headerSize, seg)
 }
 
 // startEgress starts the three stages between softnet or a
@@ -325,7 +322,7 @@ func (st *Stack) startEgress(k *sim.Kernel) {
 			if c := st.conns[seg.srcConn]; c != nil && c.peerConn != 0 {
 				seg.dstConn = c.peerConn
 				st.nicQ.PutFunc(st.net.NewFrame(st.node.Name(), c.peerPort, netsim.ProtoIP,
-					st.cfg.AckSize, seg), ackNext)
+					ackSize, seg), ackNext)
 				return
 			}
 			freeSeg(seg)
@@ -353,7 +350,7 @@ func (st *Stack) startEgress(k *sim.Kernel) {
 		}
 		inDMA = f
 		seg := f.Payload.(*segment)
-		st.dma.UseFunc(st.cfg.DMAPerOp+sim.Time(float64(seg.length)*st.cfg.DMAPerByte+0.5), 0, dmaDone)
+		st.dma.UseFunc(dmaPerOp+sim.Time(float64(seg.length)*dmaPerByte+0.5), 0, dmaDone)
 	}
 	dmaNext = func(bool) { st.nicQ.GetFunc(dmaGot) }
 

@@ -101,13 +101,8 @@ func TestZeroSizeFramePanics(t *testing.T) {
 }
 
 func TestConfigAccessor(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := CLANConfig()
-	n := New(k, cfg)
-	if n.Config() != cfg {
-		t.Fatal("Config accessor mismatch")
-	}
-	if cfg.LinkMbps != 1250 {
-		t.Fatalf("cLAN link = %v Mbps", cfg.LinkMbps)
+	n := New(sim.NewKernel(), CLANConfig())
+	if n.cfg.linkMbps != 1250 {
+		t.Fatalf("cLAN link = %v Mbps", n.cfg.linkMbps)
 	}
 }

@@ -199,19 +199,20 @@ func (p *Port) RxBytes() int64 { return p.rxBytes }
 // twice replaces the handler.
 func (p *Port) Handle(proto Proto, h Handler) { p.handlers[proto] = h }
 
-// Config describes the interconnect.
+// Config describes the interconnect. Only this package's tests vary
+// it; everything else runs CLANConfig.
 type Config struct {
-	// LinkMbps is the signalling rate of each host link (1250 for the
+	// linkMbps is the signalling rate of each host link (1250 for the
 	// 1.25 Gbps cLAN links of the testbed).
-	LinkMbps float64
-	// WireLatency is the fixed propagation plus cut-through switch
+	linkMbps float64
+	// wireLatency is the fixed propagation plus cut-through switch
 	// latency for one traversal.
-	WireLatency sim.Time
+	wireLatency sim.Time
 }
 
 // CLANConfig returns the interconnect of the paper's testbed.
 func CLANConfig() Config {
-	return Config{LinkMbps: 1250, WireLatency: 500 * sim.Nanosecond}
+	return Config{linkMbps: 1250, wireLatency: 500 * sim.Nanosecond}
 }
 
 // Network is the switch plus all attached ports.
@@ -268,14 +269,11 @@ func (n *Network) SetFaultModel(m FaultModel) {
 
 // New returns an empty network on kernel k.
 func New(k *sim.Kernel, cfg Config) *Network {
-	if cfg.LinkMbps <= 0 {
+	if cfg.linkMbps <= 0 {
 		panic("netsim: non-positive link bandwidth")
 	}
 	return &Network{k: k, cfg: cfg, port: make(map[string]*Port)}
 }
-
-// Config reports the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Attach creates (or returns) the port with the given name.
 func (n *Network) Attach(name string) *Port {
@@ -293,7 +291,7 @@ func (n *Network) LookupPort(name string) *Port { return n.port[name] }
 
 // serialization reports how long size bytes occupy a link.
 func (n *Network) serialization(size int) sim.Time {
-	return sim.TransferTime(size, n.cfg.LinkMbps)
+	return sim.TransferTime(size, n.cfg.linkMbps)
 }
 
 // admit validates a frame for transmission and records its ports and
@@ -413,9 +411,9 @@ func (n *Network) launch(f *Frame) {
 	}
 	// headAt is when the frame's head reaches the downlink; the tail
 	// clears it one (possibly throttled) serialization later. With no
-	// throttle headAt+serDown is exactly now+WireLatency+Delay, the
+	// throttle headAt+serDown is exactly now+wireLatency+Delay, the
 	// pre-conditioning arrival expression.
-	headAt := n.k.Now() + n.cfg.WireLatency + cond.Delay - ser
+	headAt := n.k.Now() + n.cfg.wireLatency + cond.Delay - ser
 	arrival := headAt + serDown
 	if cond.Reorder {
 		hpsmon.Count(n.k, "netsim", "frames.reordered", 1)

@@ -9,7 +9,7 @@ import (
 // testNet returns a network with easy arithmetic: 8000 Mbps = 1 ns per
 // byte, and 100 ns wire latency.
 func testNet(k *sim.Kernel) *Network {
-	return New(k, Config{LinkMbps: 8000, WireLatency: 100})
+	return New(k, Config{linkMbps: 8000, wireLatency: 100})
 }
 
 func TestTransmitTiming(t *testing.T) {

@@ -4,10 +4,10 @@
 // (one transport × message-size × repetition combination) builds its
 // own sim.Kernel, its own netsim fabric and its own seeded RNGs, and
 // shares no mutable state with any other point. The runner fans those
-// cells out across OS threads with range work-stealing and writes each
-// result into a caller-indexed slot, so the reassembled output is in
-// canonical cell order — byte-identical to a sequential run — at any
-// worker count.
+// cells out across OS threads, which claim indices from one shared
+// counter, and writes each result into a caller-indexed slot, so the
+// reassembled output is in canonical cell order — byte-identical to a
+// sequential run — at any worker count.
 //
 // Determinism argument: parallelism changes only *when* (in wall-clock
 // terms) and *on which thread* a cell runs, never what the cell
@@ -19,26 +19,9 @@
 package runner
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
-
-// share is one worker's claimable index range [next, limit), packed
-// into a single uint64 (next in the high 32 bits) so both bounds move
-// under one CAS. The owner takes from the front; thieves split off the
-// back half. Either way the full word is compared, so a take and a
-// steal can never both succeed on the same indices.
-type share struct {
-	bounds atomic.Uint64
-	// pad spaces the hot words a cache line apart so workers hammering
-	// their own share don't false-share neighbours.
-	_ [7]uint64
-}
-
-func pack(next, limit uint32) uint64 { return uint64(next)<<32 | uint64(limit) }
-
-func unpack(v uint64) (next, limit uint32) { return uint32(v >> 32), uint32(v) }
 
 // Map runs fn(i) for every i in [0, n), using up to workers OS
 // threads. fn must be safe to call concurrently for distinct i; calls
@@ -52,33 +35,24 @@ func Map(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n == 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	if n > 1<<31-1 {
-		panic(fmt.Sprintf("runner: %d cells overflow the packed range", n))
-	}
 
-	// Initial contiguous split. Cell order inside a share is ascending,
-	// so with zero steals the execution order is the sequential one.
-	shares := make([]share, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		shares[w].bounds.Store(pack(uint32(lo), uint32(hi)))
-	}
-
+	// Workers claim ascending indices one at a time, so a slow cell
+	// never strands cheaper ones behind it.
 	var (
+		next     atomic.Int64
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
 		panicked any
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -89,65 +63,13 @@ func Map(workers, n int, fn func(i int)) {
 					panicMu.Unlock()
 				}
 			}()
-			work(shares, self, fn)
-		}(w)
+			for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+				fn(int(i))
+			}
+		}()
 	}
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
-	}
-}
-
-// work drains the worker's own share, stealing half of the fullest
-// victim's remainder whenever it runs dry, until no share holds work.
-func work(shares []share, self int, fn func(i int)) {
-	for {
-		// Take one index from the front of our own share.
-		for {
-			v := shares[self].bounds.Load()
-			next, limit := unpack(v)
-			if next >= limit {
-				break
-			}
-			if shares[self].bounds.CompareAndSwap(v, pack(next+1, limit)) {
-				fn(int(next))
-			}
-		}
-		// Own share empty: steal the back half of the fullest victim.
-		if !steal(shares, self) {
-			return
-		}
-	}
-}
-
-// steal moves half of the fullest other share into self's (empty)
-// share. It reports false when every share is empty — the worker can
-// retire: indices already claimed are being run by their claimants.
-func steal(shares []share, self int) bool {
-	for {
-		victim, best := -1, uint32(0)
-		var victimV uint64
-		for i := range shares {
-			if i == self {
-				continue
-			}
-			v := shares[i].bounds.Load()
-			next, limit := unpack(v)
-			if avail := limit - next; next < limit && avail > best {
-				victim, best, victimV = i, avail, v
-			}
-		}
-		if victim < 0 {
-			return false
-		}
-		next, limit := unpack(victimV)
-		mid := next + (limit-next+1)/2
-		if !shares[victim].bounds.CompareAndSwap(victimV, pack(next, mid)) {
-			continue // victim's share moved under us; rescan
-		}
-		// [mid, limit) is ours alone now: no thief can have seen it,
-		// and future thieves will race through our own share's CAS.
-		shares[self].bounds.Store(pack(mid, limit))
-		return true
 	}
 }

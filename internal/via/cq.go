@@ -36,7 +36,7 @@ func (cq *CQ) Wait(p *sim.Proc) Completion {
 	if !ok {
 		panic("via: completion queue closed")
 	}
-	cq.pr.node.Overhead(p, cq.pr.cfg.CQWakeup)
+	cq.pr.node.Overhead(p, cqWakeup)
 	return c
 }
 

@@ -44,8 +44,7 @@ func (e *engine) wait(stage int, d sim.Time) {
 // dma charges one DMA transaction of n bytes and carries on at stage.
 func (e *engine) dma(stage, n int) {
 	e.stage = stage
-	cfg := &e.pr.cfg
-	e.pr.dma.UseFunc(1, cfg.DMAPerOp+sim.Time(float64(n)*cfg.DMAPerByte+0.5), e.step)
+	e.pr.dma.UseFunc(1, dmaPerOp+sim.Time(float64(n)*dmaPerByte+0.5), e.step)
 }
 
 // Stages of the transmit engine: idle, or the wait in progress.
@@ -95,7 +94,7 @@ func (e *txEngine) fetch(w *sendWork) bool {
 		return false
 	}
 	e.span = hpsmon.Begin(e.ident, "via", "send-desc", vi.peerPort)
-	e.wait(txFetch, e.pr.cfg.NICTxPerDesc)
+	e.wait(txFetch, nicTxPerDesc)
 	return true
 }
 
@@ -118,7 +117,7 @@ func (e *txEngine) run() {
 		e.offset = 0
 		e.fragment()
 	case txDMA:
-		e.wait(txFrame, pr.cfg.NICTxPerFrame)
+		e.wait(txFrame, nicTxPerFrame)
 	case txFrame:
 		pk := pr.newPacket()
 		pk.kind = pkData
@@ -142,7 +141,7 @@ func (e *txEngine) run() {
 			pk.rdmaOffset = e.w.rdmaOffset + e.offset
 		}
 		pr.txFIFO.PutFunc(pr.net.NewFrame(pr.node.Name(), vi.peerPort,
-			netsim.ProtoVIA, pr.cfg.HeaderSize+e.n, pk), e.put)
+			netsim.ProtoVIA, headerSize+e.n, pk), e.put)
 	case txDeliver:
 		desc.Status = StatusOK
 		desc.XferLen = desc.Len
@@ -159,7 +158,7 @@ func (e *txEngine) run() {
 
 // fragment starts the DMA of the descriptor's next fragment.
 func (e *txEngine) fragment() {
-	e.n = min(e.w.desc.Len-e.offset, e.pr.cfg.MTU)
+	e.n = min(e.w.desc.Len-e.offset, e.pr.cfg.mtu)
 	e.dma(txDMA, e.n)
 }
 
@@ -168,7 +167,7 @@ func (e *txEngine) onPut(bool) {
 	if e.offset += e.n; e.offset < e.w.desc.Len {
 		e.fragment()
 	} else {
-		e.wait(txDeliver, e.pr.cfg.CQDeliver)
+		e.wait(txDeliver, cqDeliver)
 	}
 }
 
@@ -247,7 +246,7 @@ func (e *rxEngine) accept(pk *packet) bool {
 			return false // stale frame after teardown: drop
 		}
 		e.pk, e.vi = pk, vi
-		e.wait(rxFrame, pr.cfg.NICRxPerFrame)
+		e.wait(rxFrame, nicRxPerFrame)
 		return true
 	}
 	return false
@@ -391,5 +390,5 @@ func (e *rxEngine) land() {
 	hpsmon.Count(pr.node.Kernel(), "via", "descs.recv", 1)
 	hpsmon.Count(pr.node.Kernel(), "via", "bytes.recv", int64(desc.XferLen))
 	e.done = Completion{VI: vi, Desc: desc, IsRecv: true, Status: StatusOK}
-	e.wait(rxFinish, pr.cfg.CQDeliver)
+	e.wait(rxFinish, cqDeliver)
 }

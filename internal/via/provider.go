@@ -172,7 +172,7 @@ func (pr *Provider) SetDescPressure(fn func() bool) { pr.descPressure = fn }
 // NewProvider attaches an emulated VIA adapter to the node and starts
 // its NIC engines.
 func NewProvider(node *cluster.Node, net *netsim.Network, cfg Config) *Provider {
-	if cfg.MTU <= 0 || cfg.MaxTransfer <= 0 || cfg.PageSize <= 0 {
+	if cfg.mtu <= 0 {
 		panic("via: invalid config")
 	}
 	k := node.Kernel()
@@ -185,7 +185,7 @@ func NewProvider(node *cluster.Node, net *netsim.Network, cfg Config) *Provider 
 		nextVI:      1,
 		rdmaRegions: make(map[uint32]*MemRegion),
 		sendWQ:      sim.NewQueue[*sendWork](k, 0),
-		txFIFO:      sim.NewQueue[*netsim.Frame](k, cfg.TxFIFODepth),
+		txFIFO:      sim.NewQueue[*netsim.Frame](k, txFIFODepth),
 		rxQ:         sim.NewQueue[*packet](k, 0),
 		listeners:   make(map[int]*Acceptor),
 	}
@@ -213,9 +213,6 @@ func NewProvider(node *cluster.Node, net *netsim.Network, cfg Config) *Provider 
 // Node reports the provider's host.
 func (pr *Provider) Node() *cluster.Node { return pr.node }
 
-// Config reports the cost model in use.
-func (pr *Provider) Config() Config { return pr.cfg }
-
 // DescsSent and DescsRecv report completed descriptor counts.
 func (pr *Provider) DescsSent() uint64 { return pr.descsSent }
 
@@ -228,8 +225,8 @@ func (pr *Provider) RegisterMem(p *sim.Proc, size int) *MemRegion {
 	if size <= 0 {
 		panic("via: register non-positive size")
 	}
-	pages := (size + pr.cfg.PageSize - 1) / pr.cfg.PageSize
-	pr.node.Overhead(p, pr.cfg.RegBase+sim.Time(pages)*pr.cfg.RegPerPage)
+	pages := (size + pageSize - 1) / pageSize
+	pr.node.Overhead(p, regBase+sim.Time(pages)*regPerPage)
 	return &MemRegion{size: size, registered: true}
 }
 
@@ -248,7 +245,7 @@ func (pr *Provider) Listen(svc int) *Acceptor {
 func (pr *Provider) controlFrame(dst string, kind pkKind, srcVI, dstVI uint32, svc int) *netsim.Frame {
 	pk := pr.newPacket()
 	pk.kind, pk.srcPort, pk.srcVI, pk.dstVI, pk.svc = kind, pr.node.Name(), srcVI, dstVI, svc
-	return pr.net.NewFrame(pr.node.Name(), dst, netsim.ProtoVIA, pr.cfg.HeaderSize+16, pk)
+	return pr.net.NewFrame(pr.node.Name(), dst, netsim.ProtoVIA, headerSize+16, pk)
 }
 
 // sendControl queues a control frame directly to the wire stage.

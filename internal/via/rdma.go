@@ -44,8 +44,8 @@ func (vi *VI) PostRDMAWrite(p *sim.Proc, desc *Desc, handle uint32, offset int) 
 	if err := vi.checkDesc(desc); err != nil {
 		return err
 	}
-	if desc.Len > vi.pr.cfg.MaxTransfer {
-		return fmt.Errorf("via: rdma write of %d bytes exceeds max transfer %d", desc.Len, vi.pr.cfg.MaxTransfer)
+	if desc.Len > MaxTransfer {
+		return fmt.Errorf("via: rdma write of %d bytes exceeds max transfer %d", desc.Len, MaxTransfer)
 	}
 	if desc.Data != nil && len(desc.Data) != desc.Len {
 		return fmt.Errorf("via: rdma descriptor data length %d != len %d", len(desc.Data), desc.Len)
@@ -60,7 +60,7 @@ func (vi *VI) PostRDMAWrite(p *sim.Proc, desc *Desc, handle uint32, offset int) 
 	default:
 		return ErrNotConnected
 	}
-	vi.pr.node.Overhead(p, vi.pr.cfg.PostSendCPU)
+	vi.pr.node.Overhead(p, postSendCPU)
 	vi.pr.node.Kernel().Trace("via", "rdma-write", int64(desc.Len), vi.peerPort)
 	w := vi.pr.newSendWork()
 	w.vi, w.desc = vi, desc

@@ -119,7 +119,7 @@ func (pr *Provider) Connect(p *sim.Proc, vi *VI, remote string, svc int) error {
 		return fmt.Errorf("via: connect on VI in state %d", vi.state)
 	}
 	vi.state = viConnecting
-	pr.node.Overhead(p, pr.cfg.ConnSetupCPU)
+	pr.node.Overhead(p, connSetupCPU)
 	pr.sendControl(p, remote, pkConnReq, vi.id, 0, svc)
 	if pr.cfg.ConnTimeout > 0 {
 		if _, ok := p.WaitTimeout(vi.connSig, pr.cfg.ConnTimeout); !ok {
@@ -145,7 +145,7 @@ func (a *Acceptor) Accept(p *sim.Proc, sendCQ, recvCQ *CQ) (*VI, error) {
 	if !ok {
 		return nil, errors.New("via: acceptor closed")
 	}
-	a.pr.node.Overhead(p, a.pr.cfg.ConnSetupCPU)
+	a.pr.node.Overhead(p, connSetupCPU)
 	vi := a.pr.NewVI(sendCQ, recvCQ)
 	vi.peerPort = req.srcPort
 	vi.peerVI = req.srcVI
@@ -170,7 +170,7 @@ func (vi *VI) PostRecv(p *sim.Proc, desc *Desc) error {
 	if vi.state == viBroken {
 		return ErrBroken
 	}
-	vi.pr.node.Overhead(p, vi.pr.cfg.PostRecvCPU)
+	vi.pr.node.Overhead(p, postRecvCPU)
 	vi.pr.node.Kernel().Trace("via", "post-recv", int64(desc.Len), "")
 	hpsmon.Count(vi.pr.node.Kernel(), "via", "descs.posted.recv", 1)
 	_ = vi.recvDescs.TryPut(desc)
@@ -183,8 +183,8 @@ func (vi *VI) PostSend(p *sim.Proc, desc *Desc) error {
 	if err := vi.checkDesc(desc); err != nil {
 		return err
 	}
-	if desc.Len > vi.pr.cfg.MaxTransfer {
-		return fmt.Errorf("via: descriptor of %d bytes exceeds max transfer %d", desc.Len, vi.pr.cfg.MaxTransfer)
+	if desc.Len > MaxTransfer {
+		return fmt.Errorf("via: descriptor of %d bytes exceeds max transfer %d", desc.Len, MaxTransfer)
 	}
 	if desc.Data != nil && len(desc.Data) != desc.Len {
 		return fmt.Errorf("via: descriptor data length %d != len %d", len(desc.Data), desc.Len)
@@ -196,7 +196,7 @@ func (vi *VI) PostSend(p *sim.Proc, desc *Desc) error {
 	default:
 		return ErrNotConnected
 	}
-	vi.pr.node.Overhead(p, vi.pr.cfg.PostSendCPU)
+	vi.pr.node.Overhead(p, postSendCPU)
 	vi.pr.node.Kernel().Trace("via", "post-send", int64(desc.Len), vi.peerPort)
 	hpsmon.Count(vi.pr.node.Kernel(), "via", "descs.posted.send", 1)
 	w := vi.pr.newSendWork()

@@ -4,14 +4,14 @@
 // The emulation reproduces the architectural elements user-level
 // protocols program against: virtual interfaces (VIs) with send and
 // receive work queues, descriptors, completion queues, registered
-// memory, and a doorbell/DMA datapath. Costs are explicit and
-// configurable: posting a descriptor costs user-level CPU time (no
-// system call), the NIC serializes descriptors through a per-node DMA
-// engine that models the 32-bit/33 MHz PCI bus, and frames cross the
-// netsim wire. Reliable-delivery semantics are enforced: a message
-// arriving at a VI with no posted receive descriptor breaks the
-// connection, which is exactly why the SocketVIA layer above must run
-// credit-based flow control.
+// memory, and a doorbell/DMA datapath. Costs are explicit: posting a
+// descriptor costs user-level CPU time (no system call), the NIC
+// serializes descriptors through a per-node DMA engine that models the
+// 32-bit/33 MHz PCI bus, and frames cross the netsim wire.
+// Reliable-delivery semantics are enforced: a message arriving at a VI
+// with no posted receive descriptor breaks the connection, which is
+// exactly why the SocketVIA layer above must run credit-based flow
+// control.
 package via
 
 import "hpsockets/internal/sim"
@@ -42,88 +42,77 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// Config carries the cost model of the emulated adapter. All CPU costs
-// are charged against the owning node's CPUs; NIC costs advance time
-// without consuming host CPU.
+// Config holds the adapter parameters that callers vary; the cost
+// model is the constants below.
 type Config struct {
-	// MTU is the maximum payload bytes per wire frame.
-	MTU int
-	// HeaderSize is the per-frame wire header.
-	HeaderSize int
-	// MaxTransfer is the largest descriptor the adapter accepts
-	// (64 KB in the VIA spec).
-	MaxTransfer int
-
-	// PostSendCPU and PostRecvCPU are the user-level costs of building
-	// a descriptor and ringing the doorbell. No kernel transition.
-	PostSendCPU sim.Time
-	PostRecvCPU sim.Time
-
-	// NICTxPerDesc is adapter processing per send descriptor;
-	// NICTxPerFrame and NICRxPerFrame are per-frame costs.
-	NICTxPerDesc  sim.Time
-	NICTxPerFrame sim.Time
-	NICRxPerFrame sim.Time
-
-	// DMAPerByte (ns/byte) and DMAPerOp model the PCI bus the adapter
-	// sits on. One engine per node is shared by both directions.
-	DMAPerByte float64
-	DMAPerOp   sim.Time
-
-	// CQDeliver is the adapter-side cost of writing a completion;
-	// CQWakeup is the host cost of waking a blocked CQ waiter.
-	CQDeliver sim.Time
-	CQWakeup  sim.Time
-
-	// Memory registration costs (paid at setup time by SocketVIA's
-	// buffer pools).
-	RegBase    sim.Time
-	RegPerPage sim.Time
-	PageSize   int
-
-	// ConnSetupCPU is charged on each side during connection setup.
-	ConnSetupCPU sim.Time
+	// mtu is the maximum payload bytes per wire frame. The cLAN
+	// adapter moves data in small cells; 2 KB frames give the
+	// emulation intra-message pipelining across the DMA, wire and
+	// receive stages, matching the measured latency curve's slope
+	// without exploding the event count. Only this package's tests
+	// vary it.
+	mtu int
 
 	// ConnTimeout bounds how long Connect waits for the acceptor's
 	// acknowledgement; zero (the default) waits forever, preserving
 	// the fault-free behaviour exactly.
 	ConnTimeout sim.Time
+}
 
-	// TxFIFODepth is the number of frames the adapter buffers between
+// MaxTransfer is the largest descriptor the adapter accepts (64 KB in
+// the VIA spec).
+const MaxTransfer = 64 * 1024
+
+// The cost model of the emulated adapter, calibrated against the
+// paper's Figure 4 micro-benchmarks (one-way latency ~8.5 us for small
+// messages, ~795 Mbps peak bandwidth at 64 KB on a 1.25 Gbps link
+// behind a 32-bit 33 MHz PCI bus). All CPU costs are charged against
+// the owning node's CPUs; NIC costs advance time without consuming
+// host CPU.
+const (
+	// headerSize is the per-frame wire header.
+	headerSize = 32
+
+	// postSendCPU and postRecvCPU are the user-level costs of building
+	// a descriptor and ringing the doorbell. No kernel transition.
+	postSendCPU sim.Time = 1200 * sim.Nanosecond
+	postRecvCPU sim.Time = 300 * sim.Nanosecond
+
+	// nicTxPerDesc is adapter processing per send descriptor;
+	// nicTxPerFrame and nicRxPerFrame are per-frame costs.
+	nicTxPerDesc  sim.Time = 2600 * sim.Nanosecond
+	nicTxPerFrame sim.Time = 150 * sim.Nanosecond
+	nicRxPerFrame sim.Time = 500 * sim.Nanosecond
+
+	// dmaPerByte (ns/byte) and dmaPerOp model the PCI bus the adapter
+	// sits on, with arbitration/burst overheads. One engine per node
+	// is shared by both directions.
+	dmaPerByte float64  = 9.7
+	dmaPerOp   sim.Time = 200 * sim.Nanosecond
+
+	// cqDeliver is the adapter-side cost of writing a completion;
+	// cqWakeup is the host cost of waking a blocked CQ waiter.
+	cqDeliver sim.Time = 800 * sim.Nanosecond
+	cqWakeup  sim.Time = 1600 * sim.Nanosecond
+
+	// Memory registration costs (paid at setup time by SocketVIA's
+	// buffer pools).
+	regBase    sim.Time = 5 * sim.Microsecond
+	regPerPage sim.Time = 1 * sim.Microsecond
+	pageSize            = 4096
+
+	// connSetupCPU is charged on each side during connection setup.
+	connSetupCPU sim.Time = 10 * sim.Microsecond
+
+	// txFIFODepth is the number of frames the adapter buffers between
 	// the DMA stage and the wire stage; it sets how deeply DMA and
 	// transmission pipeline.
-	TxFIFODepth int
-}
+	txFIFODepth = 2
+)
 
-// CLANConfig returns the cost model calibrated against the paper's
-// Figure 4 micro-benchmarks (one-way latency ~8.5 us for small
-// messages, ~795 Mbps peak bandwidth at 64 KB on a 1.25 Gbps link
-// behind a 32-bit 33 MHz PCI bus).
-func CLANConfig() Config {
-	return Config{
-		// The cLAN adapter moves data in small cells; 2 KB frames give
-		// the emulation intra-message pipelining across the DMA, wire
-		// and receive stages, matching the measured latency curve's
-		// slope without exploding the event count.
-		MTU:           2 * 1024,
-		HeaderSize:    32,
-		MaxTransfer:   64 * 1024,
-		PostSendCPU:   1200 * sim.Nanosecond,
-		PostRecvCPU:   300 * sim.Nanosecond,
-		NICTxPerDesc:  2600 * sim.Nanosecond,
-		NICTxPerFrame: 150 * sim.Nanosecond,
-		NICRxPerFrame: 500 * sim.Nanosecond,
-		DMAPerByte:    9.7, // PCI with arbitration/burst overheads
-		DMAPerOp:      200 * sim.Nanosecond,
-		CQDeliver:     800 * sim.Nanosecond,
-		CQWakeup:      1600 * sim.Nanosecond,
-		RegBase:       5 * sim.Microsecond,
-		RegPerPage:    1 * sim.Microsecond,
-		PageSize:      4096,
-		ConnSetupCPU:  10 * sim.Microsecond,
-		TxFIFODepth:   2,
-	}
-}
+// CLANConfig returns the adapter of the paper's testbed, with no
+// connect timeout.
+func CLANConfig() Config { return Config{mtu: 2 * 1024} }
 
 // MemRegion is a registered memory region. VIA requires all buffers
 // used in descriptors to be registered ahead of time.

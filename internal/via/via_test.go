@@ -128,7 +128,7 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 
 func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
 	cfg := CLANConfig()
-	cfg.MTU = 1024
+	cfg.mtu = 1024
 	r := newRig(t, cfg)
 	const n = 10_000
 	msg := make([]byte, n)
@@ -277,12 +277,11 @@ func TestUnregisteredBufferRejected(t *testing.T) {
 }
 
 func TestOversizedDescriptorRejected(t *testing.T) {
-	cfg := CLANConfig()
-	r := newRig(t, cfg)
+	r := newRig(t, CLANConfig())
 	r.connectPair(t,
 		func(p *sim.Proc, vi *VI) {
 			reg := vi.Provider().RegisterMem(p, 128*1024)
-			d := &Desc{Region: reg, Len: cfg.MaxTransfer + 1}
+			d := &Desc{Region: reg, Len: MaxTransfer + 1}
 			if err := vi.PostSend(p, d); err == nil {
 				t.Error("oversized descriptor accepted")
 			}
@@ -369,7 +368,7 @@ func TestRegisterMemCharges(t *testing.T) {
 		took = p.Now() - start
 	})
 	r.k.RunAll()
-	want := r.pa.cfg.RegBase + 8*r.pa.cfg.RegPerPage
+	want := regBase + 8*regPerPage
 	if took != want {
 		t.Fatalf("registration took %v, want %v", took, want)
 	}

@@ -18,7 +18,7 @@ import (
 // PipelineConfig describes one visualization-server run.
 type PipelineConfig struct {
 	// Kind selects the transport (TCP or SocketVIA); Prof carries the
-	// calibrated cost models.
+	// transports' configuration.
 	Kind core.Kind
 	Prof core.Profile
 	// Chains is the number of transparent copies per pipeline stage
