@@ -95,6 +95,12 @@ const (
 
 	// connSetupCPU is charged on each side during connection setup.
 	connSetupCPU sim.Time = 30 * sim.Microsecond
+
+	// nicQDepth is the number of frames the LANE driver queues for the
+	// adapter; wireFIFODepth the number the adapter buffers between its
+	// DMA stage and the wire, which sets how deeply they pipeline.
+	nicQDepth     = 32
+	wireFIFODepth = 2
 )
 
 // LinuxCLANConfig returns the kernel path of the paper's testbed, with
