@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,8 +16,9 @@ import (
 // every other one each, beside a process that computes throughout. The
 // node crashes with users queued for a CPU, inside a hold and still to
 // arrive, restarts, crashes again inside the restart instant and
-// restarts for good. It returns one line per step, trace event and
-// recorded instant, then the event count.
+// restarts for good. It returns one line per step and per counter
+// update and instant of the monitor stream, then the telemetry export
+// and the event count.
 func overheadRun(seed int64, form string) []string {
 	k := sim.NewKernel()
 	n := testCluster(k).AddNode("n0", DefaultConfig())
@@ -25,11 +27,14 @@ func overheadRun(seed int64, form string) []string {
 	logf := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d ", int64(k.Now()))+fmt.Sprintf(format, args...))
 	}
-	k.SetTrace(func(_ sim.Time, component, event string, _ int64, detail string) {
-		logf("trace %s %s %s", component, event, detail)
-	})
 	col := hpsmon.NewCollector("overhead", hpsmon.Options{Spans: true})
-	col.Attach(k)
+	k.SetMonitor(monLog{col, func(p *sim.Proc, component, name, detail string) {
+		who := "kernel"
+		if p != nil {
+			who = p.Name()
+		}
+		logf("%s %s %s on %s", component, name, detail, who)
+	}})
 
 	const users, rounds = 5, 40
 	for id := 0; id < users; id++ {
@@ -92,10 +97,28 @@ func overheadRun(seed int64, form string) []string {
 	return append(log, trace.String(), fmt.Sprintf("fired %d", k.EventsFired()))
 }
 
+// monLog is the run's collector with every counter update and instant
+// also reported to fn, in simulation order; a counter's delta is its
+// detail.
+type monLog struct {
+	*hpsmon.Collector
+	fn func(p *sim.Proc, component, name, detail string)
+}
+
+func (m monLog) Count(at sim.Time, component, name string, delta int64) {
+	m.fn(nil, component, name, strconv.FormatInt(delta, 10))
+	m.Collector.Count(at, component, name, delta)
+}
+
+func (m monLog) Instant(at sim.Time, p *sim.Proc, component, name, detail string) {
+	m.fn(p, component, name, detail)
+	m.Collector.Instant(at, p, component, name, detail)
+}
+
 // OverheadFunc against Overhead, as sim's TestResourceUseOracle holds
 // UseFunc against Use: the same users as processes, as continuations
-// and mixed leave the same steps, node-halt traces and instants (on the
-// same threads of the telemetry export) and the same event count.
+// and mixed leave the same steps and node-halt instants (on the same
+// threads of the telemetry export) and the same event count.
 func TestOverheadFuncMatchesOverhead(t *testing.T) {
 	busyCrashes, queuedCrashes, rehalts := 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -119,7 +142,7 @@ func TestOverheadFuncMatchesOverhead(t *testing.T) {
 				if !strings.HasSuffix(what, " 0 queued") {
 					queuedCrashes++
 				}
-			case strings.HasPrefix(what, "trace cluster node-halt n0: user/"):
+			case strings.HasPrefix(what, "cluster node-halt n0 on user/"):
 				if halts[what]++; halts[what] == 2 {
 					rehalts++
 				}

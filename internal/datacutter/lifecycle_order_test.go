@@ -8,6 +8,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,12 +28,15 @@ import (
 // generation and one in-flight FIFO. The rewrite promises that nothing
 // outside the package can tell. lifecycleRun drives seeded scenarios
 // through the public API into every failover, redial, rejoin, credit
-// and shed branch and hashes one line per datacutter trace event and
-// per API return value, each with its virtual time, then the counters,
-// the Chrome trace export (span thread names and ids), EventsFired and
-// ProcsSpawned. lifecycleOracle pins what d1b682c produced. Every draw
-// of a run comes from one generator consumed in scenario order, so the
-// scenarios of one run cannot cancel each other out.
+// and shed branch and hashes one line per datacutter counter update and
+// instant of the monitor stream and per API return value, each with its
+// virtual time, then the counters, the Chrome trace export (span thread
+// names and ids), EventsFired and ProcsSpawned. lifecycleOracle pins
+// the event counts d1b682c produced. Its digests were captured over the
+// monitor stream from code whose digests of the older trace-hook log
+// still matched d1b682c, so they stand for the same behaviour. Every
+// draw of a run comes from one generator consumed in scenario order, so
+// the scenarios of one run cannot cancel each other out.
 var lifecycleOracle = []struct {
 	seed   int64
 	kind   core.Kind
@@ -39,38 +44,38 @@ var lifecycleOracle = []struct {
 	digest uint64
 	fired  uint64
 }{
-	{1, core.KindTCP, RoundRobin, 0xb0e1c503e6459d46, 147481},
-	{1, core.KindTCP, DemandDriven, 0x8872bbe387765f46, 131912},
-	{1, core.KindSocketVIA, RoundRobin, 0x329fcdb66fab23cf, 104788},
-	{1, core.KindSocketVIA, DemandDriven, 0x13b2e04304e48062, 104688},
-	{2, core.KindTCP, RoundRobin, 0x5fe27c8c55fce9af, 147622},
-	{2, core.KindTCP, DemandDriven, 0x7f134ce97da23688, 128633},
-	{2, core.KindSocketVIA, RoundRobin, 0x263c84d78c42d010, 108503},
-	{2, core.KindSocketVIA, DemandDriven, 0xe393db8d4292d919, 104830},
-	{3, core.KindTCP, RoundRobin, 0xbd64fca6760a289a, 146996},
-	{3, core.KindTCP, DemandDriven, 0x638f2775089b018c, 130029},
-	{3, core.KindSocketVIA, RoundRobin, 0x76f7e7565318a8d3, 109305},
-	{3, core.KindSocketVIA, DemandDriven, 0xdd985cf1ce0960a5, 100782},
-	{5, core.KindTCP, RoundRobin, 0x2003a2f2ef2fb44e, 150558},
-	{5, core.KindTCP, DemandDriven, 0x5f0a90349d9163d6, 134882},
-	{5, core.KindSocketVIA, RoundRobin, 0x87f71d05aa8c94a2, 113090},
-	{5, core.KindSocketVIA, DemandDriven, 0x33113c7ba0c22764, 99591},
-	{8, core.KindTCP, RoundRobin, 0x8c45be6d1d9aa8aa, 149510},
-	{8, core.KindTCP, DemandDriven, 0x9dbdfcf32b5f9b51, 137298},
-	{8, core.KindSocketVIA, RoundRobin, 0x4b763b98e5d7aa00, 115132},
-	{8, core.KindSocketVIA, DemandDriven, 0x19361bc6e63c9bdd, 106742},
-	{13, core.KindTCP, RoundRobin, 0x54b143e640598cd6, 140978},
-	{13, core.KindTCP, DemandDriven, 0x55bd64e5abe69f01, 134986},
-	{13, core.KindSocketVIA, RoundRobin, 0x56fb86a6577fcd86, 115442},
-	{13, core.KindSocketVIA, DemandDriven, 0x2d70139940e5a8d7, 108338},
-	{21, core.KindTCP, RoundRobin, 0x992cf3b43d09f706, 146287},
-	{21, core.KindTCP, DemandDriven, 0x96cf29f9dc580cdb, 136919},
-	{21, core.KindSocketVIA, RoundRobin, 0xf80961f409d2a7ec, 110389},
-	{21, core.KindSocketVIA, DemandDriven, 0xfa6dc564015d2ea0, 103464},
-	{34, core.KindTCP, RoundRobin, 0x852575ab5144166d, 150506},
-	{34, core.KindTCP, DemandDriven, 0x8544d6d34fd1349d, 134865},
-	{34, core.KindSocketVIA, RoundRobin, 0xa418c16bc77f1724, 110219},
-	{34, core.KindSocketVIA, DemandDriven, 0xb912328dd878e6, 99423},
+	{1, core.KindTCP, RoundRobin, 0x82ec8020d5b6868a, 147481},
+	{1, core.KindTCP, DemandDriven, 0xf42894b19801da38, 131912},
+	{1, core.KindSocketVIA, RoundRobin, 0xff8a9da10050552d, 104788},
+	{1, core.KindSocketVIA, DemandDriven, 0x31c67ead15d0f286, 104688},
+	{2, core.KindTCP, RoundRobin, 0xe1de611113f650fc, 147622},
+	{2, core.KindTCP, DemandDriven, 0xdbfc512ce4e484b9, 128633},
+	{2, core.KindSocketVIA, RoundRobin, 0x366fc51f2fd4a521, 108503},
+	{2, core.KindSocketVIA, DemandDriven, 0xe82cd23ccda08009, 104830},
+	{3, core.KindTCP, RoundRobin, 0x91e549765de0ef65, 146996},
+	{3, core.KindTCP, DemandDriven, 0xa4214c2e5ba5caf9, 130029},
+	{3, core.KindSocketVIA, RoundRobin, 0xffe944af3fb88494, 109305},
+	{3, core.KindSocketVIA, DemandDriven, 0xc15970eaba21a3aa, 100782},
+	{5, core.KindTCP, RoundRobin, 0xbf93ee0d66a2e53c, 150558},
+	{5, core.KindTCP, DemandDriven, 0x33ed1675188b6ae8, 134882},
+	{5, core.KindSocketVIA, RoundRobin, 0xa7f3d872ec762c1a, 113090},
+	{5, core.KindSocketVIA, DemandDriven, 0x9e18d6437acbec48, 99591},
+	{8, core.KindTCP, RoundRobin, 0xe9d20cf37bf58446, 149510},
+	{8, core.KindTCP, DemandDriven, 0x0fa59ec98ba113b3, 137298},
+	{8, core.KindSocketVIA, RoundRobin, 0xd670696288ed7fb6, 115132},
+	{8, core.KindSocketVIA, DemandDriven, 0x62b731aa1965c77f, 106742},
+	{13, core.KindTCP, RoundRobin, 0x3f0977ef69742071, 140978},
+	{13, core.KindTCP, DemandDriven, 0x49522dc39fdfc2be, 134986},
+	{13, core.KindSocketVIA, RoundRobin, 0xfc26118bc35a621f, 115442},
+	{13, core.KindSocketVIA, DemandDriven, 0x5fdf65882564b0a2, 108338},
+	{21, core.KindTCP, RoundRobin, 0xb18fa2e46c936fc8, 146287},
+	{21, core.KindTCP, DemandDriven, 0x14022863f5f4d8e5, 136919},
+	{21, core.KindSocketVIA, RoundRobin, 0x0a6ca27c611fac60, 110389},
+	{21, core.KindSocketVIA, DemandDriven, 0xbb97d28e70ea656f, 103464},
+	{34, core.KindTCP, RoundRobin, 0x9b2c8133fb0a6341, 150506},
+	{34, core.KindTCP, DemandDriven, 0xf440c121690e9732, 134865},
+	{34, core.KindSocketVIA, RoundRobin, 0xb7989f6fae7f5f1f, 110219},
+	{34, core.KindSocketVIA, DemandDriven, 0xc728d67b6e2bde9d, 99423},
 }
 
 // lcRun is the log of one (seed, transport, policy) run.
@@ -82,9 +87,44 @@ type lcRun struct {
 	h      hash.Hash64
 	log    bytes.Buffer // the logf lines of h's input, saved when a digest is lost
 	fired  uint64
-	seen   map[string]int // trace events and derived branch names, for coverage
+	seen   map[string]int // monitor events and derived branch names, for coverage
 
 	k *sim.Kernel // the current scenario's kernel
+}
+
+// monLog is the oracle's collector with every counter update and
+// instant also reported to fn, in simulation order; a counter's delta
+// is its detail.
+type monLog struct {
+	*hpsmon.Collector
+	fn func(p *sim.Proc, component, name, detail string)
+}
+
+func (m monLog) Count(at sim.Time, component, name string, delta int64) {
+	m.fn(nil, component, name, strconv.FormatInt(delta, 10))
+	m.Collector.Count(at, component, name, delta)
+}
+
+func (m monLog) Instant(at sim.Time, p *sim.Proc, component, name, detail string) {
+	m.fn(p, component, name, detail)
+	m.Collector.Instant(at, p, component, name, detail)
+}
+
+// staleConn reports whether the copy-fail being recorded is tryRejoin
+// retiring a connection that predates its consumer's restart.
+func staleConn() bool {
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for failing := false; ; {
+		f, more := frames.Next()
+		if failing {
+			return strings.HasSuffix(f.Function, ".tryRejoin")
+		}
+		failing = strings.HasSuffix(f.Function, ".failTarget")
+		if !more {
+			return false
+		}
+	}
 }
 
 func (l *lcRun) logf(format string, args ...any) {
@@ -96,8 +136,8 @@ func (l *lcRun) logf(format string, args ...any) {
 
 // saveLog writes the run's log lines to a file that outlives the test
 // and returns its path, to diff a run that lost its digest against the
-// same run at d1b682c (this file runs there unchanged; alter the run's
-// digest to make it save).
+// same run at the parent commit (copy this file there and alter the
+// run's digest to make it save).
 func (l *lcRun) saveLog(seed int64) string {
 	f, err := os.CreateTemp("", fmt.Sprintf("lifecycle-%d-%d-%d-*.log", seed, l.kind, l.policy))
 	if err != nil {
@@ -213,18 +253,17 @@ func (l *lcRun) scenario(name string, plan fault.Plan, srcs, dsts int, src lcSou
 	k := sim.NewKernel()
 	l.k = k
 	seen := map[string]int{}
-	k.SetTrace(func(at sim.Time, component, event string, size int64, detail string) {
+	col := hpsmon.NewCollector("lifecycle-"+name, hpsmon.Options{Spans: true})
+	k.SetMonitor(monLog{col, func(_ *sim.Proc, component, name, detail string) {
 		if component != "datacutter" {
 			return
 		}
-		seen[event]++
-		if event == "copy-fail" && strings.Contains(detail, "stale connection") {
+		seen[name]++
+		if name == "copy-fail" && staleConn() {
 			seen["stale-conn"]++
 		}
-		l.logf("trace %s %d %s", event, size, detail)
-	})
-	col := hpsmon.NewCollector("lifecycle-"+name, hpsmon.Options{Spans: true})
-	col.Attach(k)
+		l.logf("%s %s", name, detail)
+	}})
 	net := netsim.New(k, prof.Wire)
 	cl := cluster.New(k, net)
 	var pn, cn []string
@@ -335,7 +374,7 @@ func lifecycleRun(t *testing.T, seed int64, kind core.Kind, policy Policy) *lcRu
 	slow := ss
 	slow.OpTimeout = 300 * us
 	seen := l.scenario("restart-redialed", restart("c0", l.jitter(2*ms, 1*ms), l.jitter(700*us, 600*us)), 1, 1, rec, l.sink(0, 0), 2, 1*ms, slow)
-	if seen["redial"] > 0 && seen["rejoin"] == 0 && seen["producer-rejoin"] > 0 {
+	if seen["redial"] > 0 && seen["rejoin"] == 0 && seen["producers.rejoined"] > 0 {
 		l.seen["rejoin-resync-only"]++
 	}
 
@@ -406,7 +445,7 @@ func TestStreamLifecycleOracle(t *testing.T) {
 				} else if want := lifecycleOracle[i]; want.seed != seed || want.kind != kind || want.policy != policy {
 					t.Fatalf("oracle entry %d is for seed %d %v %v, not seed %d %v %v", i, want.seed, want.kind, want.policy, seed, kind, policy)
 				} else if got.h.Sum64() != want.digest || got.fired != want.fired {
-					t.Errorf("seed %d %v %v: digest %#x, %d events; commit d1b682c gave %#x, %d; log saved in %s",
+					t.Errorf("seed %d %v %v: digest %#x, %d events; the oracle holds %#x, %d; log saved in %s",
 						seed, kind, policy, got.h.Sum64(), got.fired, want.digest, want.fired, got.saveLog(seed))
 				}
 				i++
@@ -417,9 +456,9 @@ func TestStreamLifecycleOracle(t *testing.T) {
 		}
 	}
 	// The scenarios must reach the branches the oracle exists for.
-	for _, name := range []string{"copy-fail", "redial", "rejoin", "uow-lost", "dup-suppressed", "producer-lost",
-		"producer-rejoin", "rejoin-timeout", "restart-stash-drop", "shed", "shed-expired", "degrade", "checkpoint",
-		"copy-restart", "copy-down", "stale-conn", "rejoin-resync-only"} {
+	for _, name := range []string{"copy-fail", "redial", "rejoin", "uow-lost", "dup-suppressed", "producers.lost",
+		"producers.rejoined", "rejoin.timeouts", "stash.dropped", "shed-oldest", "shed-newest", "shed-expired", "degrade",
+		"ckpt.saved", "copy-restart", "copy-down", "stale-conn", "rejoin-resync-only"} {
 		if seen[name] == 0 {
 			t.Errorf("coverage: no %q in any run (saw %v)", name, seen)
 		}

@@ -95,12 +95,19 @@ func (s Scope) Active() bool { return s.m != nil }
 // ID reports the span id (zero for an inert scope).
 func (s Scope) ID() sim.SpanID { return s.id }
 
+// flows is a Collector's flow bookkeeping. A monitor that embeds a
+// *Collector inherits it, so its exports keep their flow arrows.
+type flows interface {
+	flowSend(at sim.Time, stream string, uow int, tag int64, span sim.SpanID)
+	flowRecv(at sim.Time, stream string, uow int, tag int64, span sim.SpanID)
+}
+
 // FlowSend registers the producer side of one in-flight stream buffer
 // under its (stream, uow, tag) key, carrying the current span and send
 // time to the consumer side.
 func FlowSend(p *sim.Proc, stream string, uow int, tag int64) {
 	k := p.Kernel()
-	if c, ok := k.Monitor().(*Collector); ok {
+	if c, ok := k.Monitor().(flows); ok {
 		c.flowSend(k.Now(), stream, uow, tag, p.MonSpan())
 	}
 }
@@ -110,7 +117,7 @@ func FlowSend(p *sim.Proc, stream string, uow int, tag int64) {
 // causally in the exported trace.
 func FlowRecv(p *sim.Proc, stream string, uow int, tag int64) {
 	k := p.Kernel()
-	if c, ok := k.Monitor().(*Collector); ok {
+	if c, ok := k.Monitor().(flows); ok {
 		c.flowRecv(k.Now(), stream, uow, tag, p.MonSpan())
 	}
 }

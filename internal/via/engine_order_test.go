@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime/debug"
+	"strconv"
 	"testing"
 
 	"hpsockets/internal/cluster"
@@ -20,25 +21,29 @@ import (
 // event-context continuation chains since; the conversion promises that
 // nothing outside the provider can tell. engineOrderRun drives seeded
 // two-node traffic through the public API into every branch the engines
-// have and hashes one line per trace event, completion and API error,
-// each with its virtual time, then the Chrome trace export (span thread
-// names and ids), EventsFired and the RDMA region. engineOrderOracle
-// pins what the process engines produced at ef3c161. Every draw comes
-// from one generator consumed in activation order, so one reordering
-// shifts all later draws and cannot cancel out.
+// have and hashes one line per counter update and instant of the
+// monitor stream, completion and API error, each with its virtual time,
+// then the Chrome trace export (span thread names and ids), EventsFired
+// and the RDMA region. engineOrderOracle pins the event counts the
+// process engines produced at ef3c161. Its digests were captured over
+// the monitor stream from code whose digests of the older trace-hook
+// log still matched those engines, so they stand for the same
+// behaviour. Every draw comes from one generator consumed in activation
+// order, so one reordering shifts all later draws and cannot cancel
+// out.
 var engineOrderOracle = []struct {
 	seed   int64
 	digest uint64
 	fired  uint64
 }{
-	{1, 0x99e0c90cc91bf5bb, 2085},
-	{2, 0x047f3e2baf968d7f, 1676},
-	{3, 0x03a28b439368d181, 1527},
-	{5, 0x8ea40760e34c5096, 2217},
-	{8, 0xad08c08556b7ca18, 1780},
-	{13, 0x32bb0ed9f3a91758, 2043},
-	{21, 0x8a12a3c0a49f837c, 1774},
-	{34, 0xb87d02e0b5cdbc8c, 1505},
+	{1, 0xf950d5b03fae4375, 2085},
+	{2, 0x869522fcb05329ce, 1676},
+	{3, 0xd1a8731437837f17, 1527},
+	{5, 0xff8b16ebf52ee507, 2217},
+	{8, 0xe907ec8f2e27f3e9, 1780},
+	{13, 0x457a5687bf9ee20b, 2043},
+	{21, 0x0c10bebf8e2bcc5a, 1774},
+	{34, 0x61603ee64d944164, 1505},
 }
 
 // engineOrderFaults loses one data frame and corrupts another, and
@@ -71,7 +76,25 @@ func (f *engineOrderFaults) Judge(_ sim.Time, fr *netsim.Frame) netsim.Dispositi
 type engineOrderResult struct {
 	digest uint64
 	fired  uint64
-	seen   map[string]int // trace events and completion statuses, for coverage
+	seen   map[string]int // monitor events and completion statuses, for coverage
+}
+
+// monLog is the oracle's collector with every counter update and
+// instant also reported to fn, in simulation order; a counter's delta
+// is its detail.
+type monLog struct {
+	*hpsmon.Collector
+	fn func(p *sim.Proc, component, name, detail string)
+}
+
+func (m monLog) Count(at sim.Time, component, name string, delta int64) {
+	m.fn(nil, component, name, strconv.FormatInt(delta, 10))
+	m.Collector.Count(at, component, name, delta)
+}
+
+func (m monLog) Instant(at sim.Time, p *sim.Proc, component, name, detail string) {
+	m.fn(p, component, name, detail)
+	m.Collector.Instant(at, p, component, name, detail)
 }
 
 func engineOrderRun(t *testing.T, seed int64) engineOrderResult {
@@ -90,12 +113,11 @@ func engineOrderRun(t *testing.T, seed int64) engineOrderResult {
 		fmt.Fprintf(h, format, args...)
 		h.Write([]byte{'\n'})
 	}
-	k.SetTrace(func(at sim.Time, component, event string, size int64, detail string) {
-		res.seen[event]++
-		logf("trace %s %s %d %s", component, event, size, detail)
-	})
 	col := hpsmon.NewCollector("engine-order", hpsmon.Options{Spans: true})
-	col.Attach(k)
+	k.SetMonitor(monLog{col, func(_ *sim.Proc, component, name, detail string) {
+		res.seen[name]++
+		logf("%s %s %s", component, name, detail)
+	}})
 	net.SetFaultModel(&engineOrderFaults{drop: 30 + rng.Intn(150), corrupt: 30 + rng.Intn(150), ctlHit: 1 + rng.Intn(3)})
 	pressureAt, matched := 6+rng.Intn(12), 0
 	pb.SetDescPressure(func() bool { matched++; return matched == pressureAt })
@@ -289,7 +311,7 @@ func TestEngineOrderOracle(t *testing.T) {
 	for _, want := range engineOrderOracle {
 		got := engineOrderRun(t, want.seed)
 		if got.digest != want.digest || got.fired != want.fired {
-			t.Errorf("seed %d: digest %#x, %d events; the process engines gave %#x, %d",
+			t.Errorf("seed %d: digest %#x, %d events; the oracle holds %#x, %d",
 				want.seed, got.digest, got.fired, want.digest, want.fired)
 		}
 		for name, n := range got.seen {
@@ -297,8 +319,8 @@ func TestEngineOrderOracle(t *testing.T) {
 		}
 	}
 	// The traffic must reach the branches the oracle exists for.
-	for _, name := range []string{"send-complete", "recv-complete", "rdma-write", "loss-break", "rnr-break",
-		"desc-pressure", "ctrl-corrupt-drop", "frame-drop", "ok", "rnr", "broken", "send-broken", "violation-break", "post-error"} {
+	for _, name := range []string{"descs.sent", "descs.recv", "rdma.writes", "loss-break", "rnr-break",
+		"desc.pressure", "ctrl.corrupt.drops", "frames.dropped", "ok", "rnr", "broken", "send-broken", "violation-break", "post-error"} {
 		if seen[name] == 0 {
 			t.Errorf("coverage: no %q in any seed (saw %v)", name, seen)
 		}
@@ -316,11 +338,11 @@ func TestEnginesDrainBacklogWithoutRecursion(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(256 << 10))
 	r := newRig(t, CLANConfig())
 	drops := 0
-	r.k.SetTrace(func(_ sim.Time, _, event string, _ int64, _ string) {
-		if event == "ctrl-corrupt-drop" {
+	r.k.SetMonitor(monLog{hpsmon.NewCollector("backlog", hpsmon.Options{}), func(_ *sim.Proc, _, name, _ string) {
+		if name == "ctrl.corrupt.drops" {
 			drops++
 		}
-	})
+	}})
 	var cvi *VI
 	r.connectPair(t,
 		func(p *sim.Proc, vi *VI) {
