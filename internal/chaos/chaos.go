@@ -90,9 +90,6 @@ type Scenario struct {
 // ~1.3s. A run still scheduling events at the horizon is livelocked.
 const watchdogHorizon = 10 * sim.Second
 
-// debugTrace, test-only, attaches a trace sink to Run's kernel.
-var debugTrace func(*sim.Kernel) sim.TraceFunc
-
 // wireFaulty reports whether the plan can break or starve connections.
 // Pure-shaping conditions (latency, jitter, bandwidth, reordering) are
 // not wire-faulty; lossy or rejecting ones are.
@@ -447,9 +444,6 @@ func Run(s Scenario) Report {
 
 	prof := core.RecoveryProfile()
 	k := sim.NewKernel()
-	if debugTrace != nil {
-		k.SetTrace(debugTrace(k))
-	}
 	coll := hpsmon.NewCollector(fmt.Sprintf("chaos-%d", s.Seed), hpsmon.Options{})
 	coll.Attach(k)
 	net := netsim.New(k, prof.Wire)

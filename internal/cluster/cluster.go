@@ -208,9 +208,6 @@ func (n *Node) haltIfFailed(p *sim.Proc) {
 // noteHalt reports that p (a process, or the identity of a
 // continuation engine) stopped at a CPU use on the crashed node.
 func (n *Node) noteHalt(p *sim.Proc) {
-	if n.k.Tracing() {
-		n.k.Trace("cluster", "node-halt", 0, n.name+": "+p.Name())
-	}
 	hpsmon.Instant(p, "cluster", "node-halt", n.name)
 }
 

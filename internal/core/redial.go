@@ -57,7 +57,6 @@ func Redial(p *sim.Proc, ep Endpoint, remote string, svc int, pol RetryPolicy) (
 			if pol.Jitter > 0 && pol.Rand != nil {
 				d = sim.Time(float64(d) * (1 + pol.Jitter*(pol.Rand.Float64()-0.5)))
 			}
-			ep.Node().Kernel().Trace("core", "redial-backoff", int64(attempt), remote)
 			hpsmon.Count(ep.Node().Kernel(), "core", "redial.attempts", 1)
 			p.Sleep(d)
 			delay *= 2

@@ -354,7 +354,6 @@ func (g *Group) stepRecover(ctx *Context, fc *filterCopy, uow int) (crashed bool
 // reports the copy finished — the pre-recovery semantics of a crash,
 // minus the forever-parked proc.
 func (g *Group) parkCrashed(p *sim.Proc, fc *filterCopy) {
-	p.Kernel().Trace("datacutter", "copy-down", int64(fc.ckpt.next), fc.spec.Name)
 	hpsmon.Instant(p, "datacutter", "copy-down", fc.spec.Name)
 }
 
@@ -408,7 +407,6 @@ func (g *Group) maybeCheckpoint(p *sim.Proc, fc *filterCopy, next int) {
 		return
 	}
 	fc.ckpt = checkpoint{at: p.Now(), next: next}
-	p.Kernel().Trace("datacutter", "checkpoint", int64(next), fc.spec.Name)
 	hpsmon.Count(p.Kernel(), "datacutter", "ckpt.saved", 1)
 }
 
@@ -429,7 +427,6 @@ func (g *Group) armRestart(fc *filterCopy, uows int) {
 		fc.restartedAt = k.Now()
 		fc.recoveredAt = 0
 		from := fc.ckpt.next
-		k.Trace("datacutter", "copy-restart", int64(from), fc.spec.Name)
 		hpsmon.Count(k, "datacutter", "copy.restarts", 1)
 		hpsmon.InstantK(k, "datacutter", "copy-restart", fc.spec.Name)
 		note := func() {

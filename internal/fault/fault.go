@@ -282,7 +282,6 @@ func Install(cl *cluster.Cluster, plan Plan) *Injector {
 			panic(fmt.Sprintf("fault: crash names unknown node %q", cr.Node))
 		}
 		k.At(cr.At, func() {
-			k.Trace("fault", "node-crash", 0, node.Name())
 			hpsmon.InstantK(k, "fault", "node-crash", node.Name())
 			inj.crashed++
 			node.Fail()
@@ -303,7 +302,6 @@ func Install(cl *cluster.Cluster, plan Plan) *Injector {
 			panic(fmt.Sprintf("fault: restart of %q at %v has no strictly earlier crash", rs.Node, rs.At))
 		}
 		k.At(rs.At, func() {
-			k.Trace("fault", "node-restart", 0, node.Name())
 			hpsmon.InstantK(k, "fault", "node-restart", node.Name())
 			inj.restarted++
 			node.Restart()
@@ -316,7 +314,6 @@ func Install(cl *cluster.Cluster, plan Plan) *Injector {
 		}
 		factor := sl.Factor
 		k.At(sl.At, func() {
-			k.Trace("fault", "node-slowdown", int64(factor), node.Name())
 			hpsmon.InstantK(k, "fault", "node-slowdown", node.Name())
 			node.SetSlowFactor(factor)
 		})

@@ -9,8 +9,8 @@
 // produce byte-identical telemetry, and per-cell collectors merged in
 // canonical order make the output independent of the worker count.
 // With no collector attached every instrumentation hook is one nil
-// check, exactly like Kernel.Trace, so the zero-telemetry hot path
-// stays allocation-free and headline figures stay byte-identical.
+// check of the kernel's monitor, so the zero-telemetry hot path stays
+// allocation-free and headline figures stay byte-identical.
 package hpsmon
 
 import (

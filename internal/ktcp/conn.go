@@ -84,11 +84,7 @@ func (c *Conn) fail(err error) {
 	if !c.closeDone.Fired() {
 		c.closeDone.Fire(nil)
 	}
-	k := c.st.node.Kernel()
-	if k.Tracing() {
-		k.Trace("ktcp", "conn-fail", 0, c.peerPort+": "+err.Error())
-	}
-	hpsmon.InstantK(k, "ktcp", "conn-fail", c.peerPort)
+	hpsmon.InstantK(c.st.node.Kernel(), "ktcp", "conn-fail", c.peerPort)
 }
 
 // ID reports the connection id on its stack.
@@ -214,7 +210,6 @@ func (c *Conn) onRTO() {
 			st.net.FreeFrame(f)
 			break
 		}
-		st.node.Kernel().Trace("ktcp", "retransmit", int64(seg.length), c.peerPort)
 		hpsmon.Count(st.node.Kernel(), "ktcp", "rto.segments", 1)
 	}
 	c.armRTO()

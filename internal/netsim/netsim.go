@@ -371,24 +371,18 @@ func (n *Network) launch(f *Frame) {
 		switch v.Disposition {
 		case Drop:
 			dst.dropped++
-			n.k.Trace("netsim", "frame-drop", int64(f.Size),
-				fmt.Sprintf("%s->%s proto=%d", f.Src, f.Dst, f.Proto))
 			hpsmon.Count(n.k, "netsim", "frames.dropped", 1)
 			n.FreeFrame(f)
 			return
 		case Reject:
 			dst.dropped++
 			dst.rejected++
-			n.k.Trace("netsim", "frame-reject", int64(f.Size),
-				fmt.Sprintf("%s->%s proto=%d", f.Src, f.Dst, f.Proto))
 			hpsmon.Count(n.k, "netsim", "frames.dropped", 1)
 			hpsmon.Count(n.k, "netsim", "frames.rejected", 1)
 			n.FreeFrame(f)
 			return
 		case Corrupt:
 			f.Corrupt = true
-			n.k.Trace("netsim", "frame-corrupt", int64(f.Size),
-				fmt.Sprintf("%s->%s proto=%d", f.Src, f.Dst, f.Proto))
 			hpsmon.Count(n.k, "netsim", "frames.corrupt", 1)
 		}
 		cond = v.Cond

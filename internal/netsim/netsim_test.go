@@ -192,3 +192,39 @@ func TestTransferTimeMatchesBandwidth(t *testing.T) {
 		t.Fatalf("BitsPerSec = %v, want ~1250", mbps)
 	}
 }
+
+// verdictModel gives every frame the same disposition.
+type verdictModel Disposition
+
+func (m verdictModel) Judge(sim.Time, *Frame) Disposition { return Disposition(m) }
+
+// A frame the fault model drops, rejects or corrupts costs no
+// allocation when no monitor is attached: the fault path reports only
+// through the monitor, which builds nothing when it is absent.
+func TestFaultVerdictsDoNotAllocate(t *testing.T) {
+	for _, d := range []Disposition{Drop, Reject, Corrupt} {
+		k := sim.NewKernel()
+		n := testNet(k)
+		n.Attach("a")
+		b := n.Attach("b")
+		corrupt := 0
+		b.Handle(ProtoVIA, func(f *Frame) {
+			if f.Corrupt {
+				corrupt++
+			}
+			n.FreeFrame(f)
+		})
+		n.SetFaultModel(verdictModel(d))
+		sent := func() {}
+		got := testing.AllocsPerRun(100, func() {
+			n.TransmitFunc(n.NewFrame("a", "b", ProtoVIA, 100, nil), sent)
+			k.RunAll()
+		})
+		if got != 0 {
+			t.Errorf("disposition %d: %v allocations per frame, want 0", d, got)
+		}
+		if b.Dropped() == 0 && corrupt == 0 {
+			t.Errorf("disposition %d: no frame dropped or corrupted", d)
+		}
+	}
+}

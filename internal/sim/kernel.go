@@ -114,8 +114,6 @@ type Kernel struct {
 	spawned uint64
 	nextID  uint64 // of the next Proc: spawned, plus identities claimed
 
-	// optional trace sink (see trace.go)
-	trace TraceFunc
 	// optional telemetry monitor (see monitor.go)
 	mon Monitor
 	// optional scheduler profiler (see profiler.go)

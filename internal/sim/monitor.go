@@ -7,10 +7,10 @@ type SpanID uint64
 
 // Monitor receives telemetry callbacks from instrumented components:
 // typed metric updates and causal span begin/end pairs, all stamped
-// with virtual time. Like the trace sink, the kernel holds at most one
-// monitor and every call site is nil-checked, so with no monitor
-// attached the hot paths pay one pointer load per event and allocate
-// nothing.
+// with virtual time. It is the one stream through which components
+// report their events. The kernel holds at most one monitor and every
+// call site is nil-checked, so with no monitor attached the hot paths
+// pay one pointer load per event and allocate nothing.
 //
 // Implementations must be passive observers: they may not advance the
 // clock, schedule events, or otherwise perturb the simulation, so that
@@ -39,7 +39,7 @@ type Monitor interface {
 func (k *Kernel) SetMonitor(m Monitor) { k.mon = m }
 
 // Monitor reports the attached monitor, nil when telemetry is off.
-// Components nil-check it exactly like the trace sink, and guard any
+// Components nil-check it, through hpsmon's helpers, and guard any
 // dynamically built detail string behind the check.
 func (k *Kernel) Monitor() Monitor { return k.mon }
 

@@ -19,10 +19,10 @@ const (
 // every process park and the wake that ends it (tagged with the label
 // of the edge parked on), every direct queue hand-off to an
 // already-parked getter, and every event popped from the same-instant
-// spill ring. Like the trace sink and the telemetry monitor, the
-// kernel holds at most one profiler and every call site is
-// nil-checked, so with no profiler attached the hot paths pay one
-// pointer load per park and allocate nothing.
+// spill ring. Like the telemetry monitor, the kernel holds at most one
+// profiler and every call site is nil-checked, so with no profiler
+// attached the hot paths pay one pointer load per park and allocate
+// nothing.
 //
 // Implementations must be passive observers: they may not advance the
 // clock, schedule events, or otherwise perturb the simulation, so
@@ -51,7 +51,7 @@ type Profiler interface {
 func (k *Kernel) SetProfiler(pr Profiler) { k.prof = pr }
 
 // Profiler reports the attached profiler, nil when profiling is off.
-// Call sites nil-check it exactly like the trace sink and monitor.
+// Call sites nil-check it exactly like the monitor.
 func (k *Kernel) Profiler() Profiler { return k.prof }
 
 // parkOn is park with profiler attribution: the edge label names the

@@ -171,7 +171,6 @@ func (vi *VI) PostRecv(p *sim.Proc, desc *Desc) error {
 		return ErrBroken
 	}
 	vi.pr.node.Overhead(p, postRecvCPU)
-	vi.pr.node.Kernel().Trace("via", "post-recv", int64(desc.Len), "")
 	hpsmon.Count(vi.pr.node.Kernel(), "via", "descs.posted.recv", 1)
 	_ = vi.recvDescs.TryPut(desc)
 	return nil
@@ -197,7 +196,6 @@ func (vi *VI) PostSend(p *sim.Proc, desc *Desc) error {
 		return ErrNotConnected
 	}
 	vi.pr.node.Overhead(p, postSendCPU)
-	vi.pr.node.Kernel().Trace("via", "post-send", int64(desc.Len), vi.peerPort)
 	hpsmon.Count(vi.pr.node.Kernel(), "via", "descs.posted.send", 1)
 	w := vi.pr.newSendWork()
 	w.vi, w.desc = vi, desc

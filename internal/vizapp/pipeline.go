@@ -57,7 +57,7 @@ type PipelineConfig struct {
 	// (0 = transport backpressure only).
 	CreditWindow int
 	// Hook, when set, receives the simulation kernel before the run —
-	// e.g. to attach a sim.TraceFunc with Kernel.SetTrace.
+	// e.g. to attach an hpsmon collector with Collector.Attach.
 	Hook func(k *sim.Kernel)
 }
 
